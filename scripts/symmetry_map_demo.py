@@ -5,36 +5,23 @@ For the bundled linear model with additive noise, the joint scaling of
 states and Wiener paths maps simulated solutions onto solutions driven by
 the scaled increments, pathwise to rounding.  A non-symmetry control (the
 anisotropic scaling run against the Stratonovich dynamics) fails loudly.
+Both runs are the measurements behind the ``validation_runs`` case of
+``sdesym examples``.
 
     python scripts/symmetry_map_demo.py [--paths 20000] [--seed 0]
 """
 
 import argparse
 
-from sdesym.cli import bundled_model
-from sdesym.expr import Context, parse
-from sdesym.modelfile import load_model
-from sdesym.montecarlo import symmetry_validation
-from sdesym.sde import ItoSystem, ito_to_strat
-from sdesym.symmetry import LinearW, VectorField
+from sdesym.examples import scaling_validation, stratonovich_control
 
 
 def run(paths: int, seed: int) -> None:
-    linear = load_model(bundled_model("linear_additive"))
-    rep = symmetry_validation(
-        linear.system, linear.vectorfields["scaling"], 0.3, [1.0],
-        T=1.0, dt=1e-3, n_paths=paths, seed=seed,
-    )
+    rep = scaling_validation(0.3, 1.0, paths, seed)
     print(f"joint scaling on the additive-noise model: {rep.verdict}"
           f"  (max mean dev {rep.mean_sigmas.max():.2f} SE, KS {rep.ks.max():.4f})")
 
-    ctx = Context(n=1, m=1, params={"lam": -1.0, "mu": 0.3, "alpha": 2.0})
-    power = ItoSystem(ctx, (parse("lam*x", ctx),), ((parse("mu*x^alpha", ctx),),))
-    X = VectorField(ctx, (parse("x", ctx),), noise=LinearW.from_matrix([[-1.0]]))
-    control = symmetry_validation(
-        ito_to_strat(power), X, 0.5, [1.0], T=1.0, dt=1e-3,
-        n_paths=paths, seed=seed + 1, scheme="heun",
-    )
+    control = stratonovich_control(paths, seed + 1)
     print(f"same field against the Stratonovich dynamics:  {control.verdict}"
           f"  ({control.detail})")
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 from typing import List, Optional
-
-import numpy as np
 
 from . import montecarlo as mc
 from .expr import ExprSyntaxError, SamplingBox, ZeroTestConfig, to_string
@@ -239,75 +238,20 @@ def cmd_integrate(args) -> int:
         report["compatibility"] = compatibility_check(sys_ito, X.phi[0], config).to_dict()
 
     if args.paths > 0:
-        terminals = mc.solution_form_terminals(
-            form, 0.0, args.horizon, args.dt, args.paths, args.seed,
-            x0=_initial_new_variable(cov, args.x0),
+        check = mc.pipeline_crosscheck(
+            sys_ito, cov, form, args.x0, args.horizon, args.dt, args.paths, args.seed
         )
-        report["monte_carlo"] = _pipeline_crosscheck(
-            bundle, cov, terminals, args
-        )
+        report["monte_carlo"] = {
+            "paths": int(args.paths),
+            "dt": args.dt,
+            "horizon": args.horizon,
+            **asdict(check),
+            "pass": bool(
+                check.excluded_fraction <= 0.05 and check.difference_se_units < 4.0
+            ),
+        }
     _emit(report, args)
     return EXIT_OK
-
-
-def _initial_new_variable(cov: ChangeOfVariables, x0: float) -> float:
-    from .expr import TIME, evaluate, state, wiener
-
-    start = {state(1): x0, TIME: 0.0}
-    for k in range(cov.ctx.m):
-        start[wiener(k + 1)] = 0.0
-    return evaluate(cov.forward[0], start, dict(cov.ctx.params))
-
-
-def _pipeline_crosscheck(bundle, cov, terminals, args) -> dict:
-    """Map solution-form terminals back through the inverse change of
-    variables and compare against direct simulation on shared increments."""
-    from .expr import eval_array, state, wiener, TIME
-
-    sys_ito: ItoSystem = bundle.system
-    direct = mc.euler_maruyama(
-        sys_ito, [args.x0], T=args.horizon, dt=args.dt,
-        n_paths=args.paths, seed=args.seed, snapshots=2,
-    )
-    w_T = direct.w[-1]
-    if cov.inverse is not None:
-        env = {state(1): terminals, TIME: args.horizon}
-        for k in range(sys_ito.ctx.m):
-            env[wiener(k + 1)] = w_T[:, k]
-        with np.errstate(all="ignore"):
-            mapped_back = np.asarray(
-                eval_array(cov.inverse[0], env, dict(sys_ito.ctx.params)), dtype=float
-            )
-    else:
-        # evaluation-only damped-Newton inversion of the forward map
-        from .reduction import ReductionError, numeric_inverse
-
-        solve = numeric_inverse(cov)
-        mapped_back = np.full_like(terminals, np.nan)
-        starts = direct.terminal_states()[:, 0]
-        for p in range(len(terminals)):
-            try:
-                mapped_back[p] = solve(
-                    terminals[p], args.horizon, w_T[p], starts[p]
-                )
-            except ReductionError:
-                pass
-    ok = np.isfinite(mapped_back) & ~direct.excluded
-    frac_excluded = 1.0 - float(np.mean(ok))
-    a = mapped_back[ok]
-    b = direct.terminal_states()[ok, 0]
-    se = float(np.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b)))
-    diff = float(abs(a.mean() - b.mean()))
-    return {
-        "paths": int(args.paths),
-        "dt": args.dt,
-        "horizon": args.horizon,
-        "excluded_fraction": frac_excluded,
-        "terminal_mean_pipeline": float(a.mean()),
-        "terminal_mean_direct": float(b.mean()),
-        "difference_se_units": diff / se if se > 0 else 0.0,
-        "pass": bool(frac_excluded <= 0.05 and (se == 0 or diff / se < 4.0)),
-    }
 
 
 def _resolve_cov(bundle: ModelBundle, spec: str) -> ChangeOfVariables:

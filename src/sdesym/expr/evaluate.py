@@ -16,6 +16,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import expi
 
 from .nodes import (
     AntiDeriv,
@@ -31,74 +32,23 @@ from .nodes import (
     VarId,
 )
 
-_EULER_GAMMA = 0.57721566490153286060651209008240243
-
 
 class EvaluationError(ValueError):
     pass
 
 
 def expint_ei(z: float) -> float:
-    """Principal-value exponential integral Ei(z) for real z != 0.
-
-    Power series (all terms positive for z > 0, mild cancellation down to
-    z = -10) for z >= -10; for z < -10 the continued fraction of E1(-z) is
-    used, which is where the series loses accuracy.
-    """
+    """Principal-value exponential integral Ei(z) for real z != 0
+    (``scipy.special.expi``), strict: the singularity at 0, a non-finite
+    argument and overflow raise EvaluationError."""
     if z == 0.0:
         raise EvaluationError("Ei is singular at 0")
     if not math.isfinite(z):
         raise EvaluationError("Ei of a non-finite argument")
-    if z >= -10.0:
-        if z > 700.0:
-            raise EvaluationError("Ei overflow")
-        total = _EULER_GAMMA + math.log(abs(z))
-        power = 1.0
-        for k in range(1, 1000):
-            power *= z / k
-            term = power / k
-            total += term
-            if abs(term) < 1e-18 * max(1.0, abs(total)):
-                break
-        return total
-    # z < -10: Ei(z) = -E1(-z); modified Lentz on the standard E1 fraction
-    x = -z
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for k in range(1, 400):
-        a = -(k * k)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return -math.exp(-x) * h
-
-
-def _ei_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized Ei; series computed with masks, non-finite where singular."""
-    z = np.asarray(z, dtype=float)
-    out = np.full(z.shape, np.nan)
-    ok = np.isfinite(z) & (z != 0.0)
-    series = ok & (z >= -10.0) & (z <= 700.0)
-    if np.any(series):
-        zs = z[series]
-        total = _EULER_GAMMA + np.log(np.abs(zs))
-        power = np.ones_like(zs)
-        kmax = int(3 * np.max(np.abs(zs))) + 40
-        for k in range(1, kmax):
-            power = power * zs / k
-            total = total + power / k
-        out[series] = total
-    rest = ok & ~series
-    if np.any(rest):
-        out[rest] = [expint_ei(v) if v < -10.0 else np.inf for v in z[rest]]
-    return out
+    value = float(expi(z))
+    if not math.isfinite(value):
+        raise EvaluationError("Ei overflow")
+    return value
 
 
 _UNARY_NUMPY = {
@@ -108,7 +58,7 @@ _UNARY_NUMPY = {
     "sin": np.sin,
     "cos": np.cos,
     "arctan": np.arctan,
-    "Ei": _ei_array,
+    "Ei": expi,
 }
 
 ArrayLike = Union[float, np.ndarray]

@@ -112,11 +112,21 @@ def load_model(source: Union[str, Path], text: Optional[str] = None) -> ModelBun
     if "system" not in cp:
         raise ModelFileError("missing [system] section")
     system_section = cp["system"]
-    try:
-        n = int(system_section["n"])
-        m = int(system_section["m"])
-    except KeyError as err:
-        raise ModelFileError(f"[system] missing key {err}") from None
+
+    def dimension(key: str) -> int:
+        if key not in system_section:
+            raise ModelFileError(f"[system] missing key {key!r}")
+        raw = system_section[key]
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ModelFileError(f"[system] {key}: not an integer: {raw!r}") from None
+        if value < 1:
+            raise ModelFileError(f"[system] {key} must be at least 1, got {value}")
+        return value
+
+    n = dimension("n")
+    m = dimension("m")
     system_type = system_section.get("type", "ito").strip().lower()
     if system_type not in ("ito", "stratonovich"):
         raise ModelFileError(f"unknown system type {system_type!r}")

@@ -18,37 +18,33 @@ import pytest
 
 from sdesym.cli import bundled_model
 from sdesym.expr import (
-    Context,
     ZeroTestConfig,
     expressions_equal,
     is_identically_zero,
     parse,
 )
-from sdesym.examples import random_scalar_family, random_split_map_case
-from sdesym.modelfile import load_model
-from sdesym.montecarlo import (
-    apply_group_map,
-    ensemble_stats,
-    euler_maruyama,
-    heun_stratonovich,
-    solution_form_terminals,
+from sdesym.examples import (
+    agreement_failure,
+    constant_coefficient_deviations,
+    cross_scheme_deviation,
+    linear_moments,
+    pipeline_run,
+    split_map_failure,
 )
+from sdesym.modelfile import load_model
+from sdesym.montecarlo import euler_maruyama
 from sdesym.reduction import (
     compatibility_check,
-    integrate_scalar,
-    reduce_step,
     scaling_adapted_cov,
     transform_ito,
     transform_W,
 )
-from sdesym.sde import ItoSystem, ito_to_strat
+from sdesym.sde import ito_to_strat
 from sdesym.symmetry import (
     LinearW,
     VectorField,
-    agreement_analysis,
     conformal_check,
     residual_standard_ito,
-    residual_standard_strat,
     residual_W_ito,
     residual_W_strat,
     solvability_check,
@@ -262,35 +258,16 @@ def test_criterion_06_randomized_agreement_analysis():
     """50 randomized scalar systems with sigma_x != 0 and R != 0: the
     drift-family discrepancy is identically sigma sigma_x R; with constant
     sigma or R = 0 the two calculi's verdicts coincide."""
-    families = random_scalar_family(50, seed=7)
-    from fractions import Fraction
-
-    from sdesym.expr import Const
-
-    for sys_i, X, obstruction in families:
-        ctx = sys_i.ctx
-        rep = agreement_analysis(X, sys_i, CONFIG)
-        verdict = expressions_equal(rep.discrepancy[0], obstruction, ctx, CONFIG)
-        assert verdict.is_zero, "discrepancy != sigma*sigma_x*R"
-        const_sys = ItoSystem(ctx, sys_i.f, ((Const(Fraction(3, 4)),),))
-        a = residual_W_ito(X, const_sys, CONFIG, force=True)
-        s = residual_W_strat(X, ito_to_strat(const_sys), CONFIG, force=True)
-        assert a.verdict == s.verdict, "constant-sigma verdicts differ"
-        X0 = VectorField(ctx, X.phi, noise=None)
-        a0 = residual_standard_ito(X0, sys_i, CONFIG)
-        s0 = residual_standard_strat(X0, ito_to_strat(sys_i), CONFIG)
-        assert a0.verdict == s0.verdict, "R = 0 verdicts differ"
+    failure = agreement_failure(CONFIG, seed=7)
+    assert failure is None, failure
     announce(6, True, "50 randomized systems: discrepancy = sigma*sigma_x*R; variants agree")
 
 
 def test_criterion_07_split_maps_preserve_ito_class():
     """200 random split maps (triangular polynomial Phi(y,t) of degree <= 3,
     random conformal R) on random systems all yield Ito-type output."""
-    rng = np.random.default_rng(11)
-    for trial in range(200):
-        sys_r, cov = random_split_map_case(rng)
-        g = transform_W(sys_r, cov, CONFIG)
-        assert g.ito_like is True, f"trial {trial} left the Ito class"
+    failure = split_map_failure(CONFIG, seed=11)
+    assert failure is None, failure
     announce(7, True, "200/200 split maps stayed Ito")
 
 
@@ -301,14 +278,8 @@ def test_criterion_08_linear_sde_moments():
     b = bundle("linear_additive")
     assert dict(b.ctx.params) == {"lam": -1.0, "mu": 0.5}
     start = time.time()
-    ens = euler_maruyama(b.system, [1.0], T=1.0, dt=1e-3, n_paths=100000, seed=2024, snapshots=4)
+    mean_dev, var_dev, _ = linear_moments(seed=2024)
     elapsed = time.time() - start
-    stats = ensemble_stats(ens)
-    mean_target = math.exp(-1.0)
-    var_target = 0.25 * (1.0 - math.exp(-2.0)) / 2.0
-    mean_dev = abs(stats.mean[-1, 0] - mean_target) / stats.se[-1, 0]
-    var_se = stats.var[-1, 0] * math.sqrt(2.0 / (stats.n_effective - 1))
-    var_dev = abs(stats.var[-1, 0] - var_target) / var_se
     announce(
         8,
         mean_dev < 3.0 and var_dev < 3.0 and elapsed < 30.0,
@@ -320,23 +291,7 @@ def test_criterion_09_constant_coefficient_exactness_and_flow():
     """The explicit scheme reproduces x0 + A t + B w(t) to < 1e-12 relative,
     and the flow of the Wiener-mixing symmetry of that model maps simulated
     solutions to exact solutions pathwise to < 1e-12 relative."""
-    b = bundle("constant_coefficients")
-    A, B = b.ctx.params["A"], b.ctx.params["B"]
-    ens = euler_maruyama(b.system, [0.2], T=1.0, dt=1e-3, n_paths=64, seed=5, snapshots=0)
-    closed = 0.2 + A * ens.times[:, None] + B * ens.w[:, :, 0]
-    scheme_dev = float(
-        np.max(np.abs(ens.states[:, :, 0] - closed) / np.maximum(1.0, np.abs(closed)))
-    )
-    mapped = apply_group_map(ens, b.vectorfields["shear"], 0.35)
-    x0m = mapped.states[0, :, 0]
-    closed_m = (
-        x0m[None, :]
-        + A * (ens.times[:, None] - ens.times[0])
-        + B * (mapped.w[:, :, 0] - mapped.w[0, :, 0])
-    )
-    flow_dev = float(
-        np.max(np.abs(mapped.states[:, :, 0] - closed_m) / np.maximum(1.0, np.abs(closed_m)))
-    )
+    scheme_dev, flow_dev = constant_coefficient_deviations(seed=5, s=0.35)
     announce(
         9,
         scheme_dev < 1e-12 and flow_dev < 1e-12,
@@ -373,20 +328,9 @@ def test_criterion_10_cross_scheme_consistency():
     """f = lam x, sigma = mu x (lam = -1, mu = 0.3): the Ito scheme on the
     Ito form and the midpoint scheme on the converted Stratonovich form
     agree in terminal mean below 4 SE on shared increments."""
-    ctx = Context(n=1, m=1, params={"lam": -1.0, "mu": 0.3})
-    sys_i = ItoSystem(ctx, (parse("lam*x", ctx),), ((parse("mu*x", ctx),),))
-    strat = ito_to_strat(sys_i)
-    a = euler_maruyama(sys_i, [1.0], T=1.0, dt=1e-3, n_paths=100000, seed=31, snapshots=2)
-    h = heun_stratonovich(strat, [1.0], T=1.0, dt=1e-3, n_paths=100000, seed=31, snapshots=2)
-    include = ~(a.excluded | h.excluded)
-    da = a.terminal_states()[include, 0]
-    db = h.terminal_states()[include, 0]
-    se = math.sqrt(da.var(ddof=1) / len(da) + db.var(ddof=1) / len(db))
-    dev = abs(float(da.mean() - db.mean())) / se
+    dev, em_mean, em_se = cross_scheme_deviation(seed=31)
     # independent oracle: the closed-form terminal mean x0 e^(lam T)
-    closed = math.exp(-1.0)
-    se_a = math.sqrt(da.var(ddof=1) / len(da))
-    closed_dev = abs(float(da.mean()) - closed) / se_a
+    closed_dev = abs(em_mean - math.exp(-1.0)) / em_se
     announce(
         10,
         dev < 4.0 and closed_dev < 4.0,
@@ -395,45 +339,14 @@ def test_criterion_10_cross_scheme_consistency():
     )
 
 
-def _end_to_end(model: str, x0: float, T: float, seed: int):
-    from sdesym.expr import TIME, eval_array, evaluate, state, wiener
-
-    b = bundle(model)
-    sys_i = b.system
-    field = "shift" if model == "exp_decay_diffusion" else "random"
-    X = b.vectorfields[field]
-    cov = b.covs["rectify"]
-    step = reduce_step(sys_i, X, cov, CONFIG)
-    form = integrate_scalar(step.transformed, CONFIG)
-    start = {state(1): x0, TIME: 0.0}
-    for k in range(sys_i.ctx.m):
-        start[wiener(k + 1)] = 0.0
-    y0 = evaluate(cov.forward[0], start, dict(sys_i.ctx.params))
-    n_paths = 10000
-    terminals = solution_form_terminals(form, 0.0, T, 1e-3, n_paths, seed, x0=y0)
-    direct = euler_maruyama(sys_i, [x0], T=T, dt=1e-3, n_paths=n_paths, seed=seed, snapshots=2)
-    env = {state(1): terminals, TIME: T}
-    for k in range(sys_i.ctx.m):
-        env[wiener(k + 1)] = direct.w[-1][:, k]
-    with np.errstate(all="ignore"):
-        mapped_back = np.asarray(
-            eval_array(cov.inverse[0], env, dict(sys_i.ctx.params)), dtype=float
-        )
-    ok = np.isfinite(mapped_back) & ~direct.excluded
-    excluded = 1.0 - float(np.mean(ok))
-    a = mapped_back[ok]
-    c = direct.terminal_states()[ok, 0]
-    se = math.sqrt(a.var(ddof=1) / len(a) + c.var(ddof=1) / len(c))
-    dev = abs(float(a.mean() - c.mean())) / se if se > 0 else 0.0
-    return dev, excluded
-
-
 def test_criterion_11_end_to_end_pipelines():
     """Both scalar pipelines (integrate in the adapted variable, evaluate
     the solution form, map back, cross-check against direct simulation on
     shared increments): terminal means below 4 SE, at most 5% exclusions."""
-    dev1, exc1 = _end_to_end("exp_decay_diffusion", x0=1.0, T=1.0, seed=71)
-    dev2, exc2 = _end_to_end("exponential_drift", x0=0.0, T=0.3, seed=72)
+    decay = pipeline_run("exp_decay_diffusion", "shift", x0=1.0, T=1.0, seed=71, config=CONFIG)
+    drift = pipeline_run("exponential_drift", "random", x0=0.0, T=0.3, seed=72, config=CONFIG)
+    dev1, exc1 = decay.difference_se_units, decay.excluded_fraction
+    dev2, exc2 = drift.difference_se_units, drift.excluded_fraction
     ok = dev1 < 4.0 and exc1 <= 0.05 and dev2 < 4.0 and exc2 <= 0.05
     announce(
         11,

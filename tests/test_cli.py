@@ -55,6 +55,15 @@ def test_check_missing_model_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def test_check_bad_dimension_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.model"
+    bad.write_text("[system]\nn = 0\nm = 1\nf1 = x\nsigma_1_1 = 1\n")
+    code, _, err = run(capsys, "check", "--model", str(bad))
+    assert code == EXIT_USAGE
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_convert_emits_model_text(capsys):
     code, out, _ = run(capsys, "convert", "--model", "power_noise")
     assert code == EXIT_OK

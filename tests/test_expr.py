@@ -253,7 +253,11 @@ def test_ei_at_one_matches_series_oracle():
     [
         (-30.0, 1e-12),
         (-12.0, 1e-12),
-        (-9.5, 3e-9),  # alternating-series cancellation band; within working tol
+        (-10.0 - 1e-9, 1e-12),
+        (-10.0 + 1e-9, 1e-12),
+        (-9.99, 1e-12),
+        (-9.91, 1e-12),
+        (-9.5, 1e-12),
         (-6.5, 1e-10),
         (-2.0, 1e-12),
         (-0.3, 1e-12),
@@ -268,10 +272,12 @@ def test_ei_matches_scipy(z, rel):
     assert expint_ei(z) == pytest.approx(float(expi(z)), rel=rel, abs=1e-300)
 
 
-def test_ei_branch_consistency_at_crossover():
-    # series and continued fraction agree where the branches meet
-    for z in (-10.0 - 1e-9, -10.0 + 1e-9):
-        assert expint_ei(z) == pytest.approx(float(expi(z)), rel=1e-10)
+def test_eval_array_ei_matches_scipy():
+    zs = np.array([-30.0, -9.99, -9.5, -0.3, 0.2, 5.0, 40.0])
+    out = eval_array(parse("Ei(x)", SCALAR), {state(1): zs})
+    assert np.allclose(out, expi(zs), rtol=1e-12, atol=0.0)
+    at_zero = eval_array(parse("Ei(x)", SCALAR), {state(1): np.array([0.0, 1.0])})
+    assert not np.isfinite(at_zero[0]) and np.isfinite(at_zero[1])
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,16 @@ theta = 2.0, 3.0
     assert b.box.for_param("other") == (0.4, 2.0)
 
 
+@pytest.mark.parametrize(
+    "key, value", [("n", "x"), ("n", "0"), ("n", "-1"), ("m", "1.5"), ("m", "0")]
+)
+def test_bad_dimension_rejected(key, value):
+    text = MINIMAL.replace(f"\n{key} = 1\n", f"\n{key} = {value}\n")
+    assert text != MINIMAL
+    with pytest.raises(ModelFileError, match=f"\\[system\\] {key}"):
+        load_model("inline", text=text)
+
+
 def test_bad_interval_rejected():
     text = MINIMAL + "\n[sampling]\nx1 = 2.0, 1.0\n"
     with pytest.raises(ModelFileError, match="interval"):

@@ -17,11 +17,12 @@ from sdesym.montecarlo import (
     heun_stratonovich,
     ks_statistic,
     ks_threshold,
+    pipeline_crosscheck,
     solution_form_terminals,
     step_normals,
     symmetry_validation,
 )
-from sdesym.reduction import SolutionForm, integrate_scalar, reduce_step
+from sdesym.reduction import ChangeOfVariables, SolutionForm, integrate_scalar, reduce_step
 from sdesym.sde import ItoSystem, ito_to_strat
 from sdesym.symmetry import LinearW, VectorField
 
@@ -339,3 +340,18 @@ def test_pipeline_cross_validation_exp_decay():
     c = direct.terminal_states()[ok, 0]
     se = math.sqrt(a.var(ddof=1) / len(a) + c.var(ddof=1) / len(c))
     assert abs(float(a.mean() - c.mean())) < 4 * se + 1e-12
+
+
+def test_pipeline_crosscheck_numeric_inverse_matches_symbolic():
+    # the damped-Newton map-back must reproduce the symbolic inverse
+    b = bundle("exp_decay_diffusion")
+    cov = b.covs["rectify"]
+    step = reduce_step(b.system, b.vectorfields["shift"], cov)
+    form = integrate_scalar(step.transformed)
+    no_inverse = ChangeOfVariables(b.ctx, cov.forward, direction=cov.direction)
+    assert no_inverse.inverse is None
+    symbolic = pipeline_crosscheck(b.system, cov, form, 1.0, 0.4, 1e-3, 500, seed=3)
+    numeric = pipeline_crosscheck(b.system, no_inverse, form, 1.0, 0.4, 1e-3, 500, seed=3)
+    assert numeric.excluded_fraction == symbolic.excluded_fraction
+    assert numeric.terminal_mean_pipeline == pytest.approx(symbolic.terminal_mean_pipeline, rel=1e-12)
+    assert numeric.terminal_mean_direct == pytest.approx(symbolic.terminal_mean_direct, rel=1e-12)
