@@ -195,6 +195,10 @@ def cmd_convert(args) -> int:
 
 
 def cmd_integrate(args) -> int:
+    if args.paths == 1 or args.paths < 0:
+        # the cross-check compares two sample means: it needs two paths
+        print("error: --paths must be 0 (no cross-check) or at least 2", file=sys.stderr)
+        return EXIT_USAGE
     bundle = _resolve_model(args.model)
     config = _config_for(bundle, args)
     if bundle.system_type != "ito":
@@ -310,6 +314,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.paths < 1:
+        print("error: --paths must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     bundle = _resolve_model(args.model)
     x0 = [float(v) for v in args.x0_list.split(",")] if args.x0_list else [args.x0] * bundle.ctx.n
     if len(x0) != bundle.ctx.n:

@@ -10,15 +10,13 @@ with a witness; too many evaluation failures yield Inconclusive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.stats import qmc
 
-from .calculus import subst_many
-from .evaluate import EvaluationError, eval_magnitude, evaluate
+from .evaluate import Kernel
 from .nodes import Context, Expr, VarId, VarKind, free_params, free_vars
 from .simplify import simplify
 
@@ -127,34 +125,30 @@ def is_identically_zero(
 
     variables = sorted(free_vars(s), key=lambda v: (v.kind.value, v.index))
     unbound = sorted(name for name in free_params(s) if name not in ctx.params)
-    dim = len(variables) + len(unbound)
-    points = _sample_points(dim, config.points, config.seed)
+    intervals = [config.box.for_var(v) for v in variables]
+    intervals += [config.box.for_param(name) for name in unbound]
+    points = _sample_points(len(intervals), config.points, config.seed)
+    columns = [lo + (hi - lo) * points[:, i] for i, (lo, hi) in enumerate(intervals)]
+    kernel = Kernel([s], variables + unbound, ctx.params, magnitudes=[s])
+    (values, magnitudes), failed = kernel.strict(columns)
 
+    # lanes in sampling order; the first decisive one stops the test
     failures = 0
     evaluated = 0
     max_abs = 0.0
-    for row in points:
-        point = {
-            v: _scale(row[i], config.box.for_var(v)) for i, v in enumerate(variables)
-        }
-        params = dict(ctx.params)
-        for j, name in enumerate(unbound):
-            params[name] = _scale(row[len(variables) + j], config.box.for_param(name))
-        try:
-            value = evaluate(s, point, params)
-            magnitude = eval_magnitude(s, point, params)
-        except EvaluationError:
+    lanes = zip(values.tolist(), magnitudes.tolist(), failed.tolist())
+    for lane, (value, magnitude, bad) in enumerate(lanes):
+        if bad:
             failures += 1
             continue
         evaluated += 1
         max_abs = max(max_abs, abs(value))
         if abs(value) > config.tol * (1.0 + magnitude):
-            witness = {v.name: point[v] for v in variables}
-            witness.update({name: params[name] for name in unbound})
+            names = [v.name for v in variables] + unbound
             return ZeroVerdict(
                 "nonzero",
                 "sampled",
-                witness_point=witness,
+                witness_point={name: float(col[lane]) for name, col in zip(names, columns)},
                 witness_value=value,
                 max_abs=max_abs,
                 points_evaluated=evaluated,
@@ -185,11 +179,6 @@ def _sample_points(dim: int, count: int, seed: int) -> np.ndarray:
         return np.zeros((1, 0))
     sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
     return sampler.random(count)
-
-
-def _scale(u: float, interval: Interval) -> float:
-    lo, hi = interval
-    return lo + (hi - lo) * float(u)
 
 
 def expressions_equal(

@@ -43,9 +43,9 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .expr import Context, Expr, SamplingBox, ZERO, parse
-from .reduction import ChangeOfVariables
-from .sde import ItoSystem, StratSystem
+from .expr import Context, Expr, ExprSyntaxError, SamplingBox, ZERO, parse
+from .reduction import ChangeOfVariables, ReductionError
+from .sde import ItoSystem, ModelError, StratSystem
 from .symmetry import GeneralH, LinearW, VectorField
 
 
@@ -72,7 +72,10 @@ def _parse_interval(text: str, where: str) -> Tuple[float, float]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise ModelFileError(f"{where}: expected 'low, high', got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ModelFileError(f"{where}: bounds must be numbers, got {text!r}") from None
     if not lo < hi:
         raise ModelFileError(f"{where}: empty interval {text!r}")
     return lo, hi
@@ -83,7 +86,10 @@ def _parse_matrix(text: str, m: int, where: str) -> np.ndarray:
         rows = json.loads(text)
     except json.JSONDecodeError as err:
         raise ModelFileError(f"{where}: bad matrix literal: {err}") from None
-    mat = np.atleast_2d(np.asarray(rows, dtype=float))
+    try:
+        mat = np.atleast_2d(np.asarray(rows, dtype=float))
+    except (TypeError, ValueError):
+        raise ModelFileError(f"{where}: matrix entries must be numbers, got {text!r}") from None
     if mat.shape != (m, m):
         raise ModelFileError(f"{where}: matrix must be {m} x {m}, got {mat.shape}")
     return mat
@@ -145,7 +151,10 @@ def load_model(source: Union[str, Path], text: Optional[str] = None) -> ModelBun
             if default is not None:
                 return default
             raise ModelFileError(f"{where}: missing {key}")
-        return parse(section[key], ctx)
+        try:
+            return parse(section[key], ctx)
+        except ExprSyntaxError as err:
+            raise ModelFileError(f"{where} {key}: {err}") from None
 
     drift = tuple(expr_of(system_section, f"f{i}", "[system]") for i in range(1, n + 1))
     sigma = tuple(
@@ -155,10 +164,10 @@ def load_model(source: Union[str, Path], text: Optional[str] = None) -> ModelBun
         )
         for i in range(1, n + 1)
     )
-    if system_type == "ito":
-        system: Union[ItoSystem, StratSystem] = ItoSystem(ctx, drift, sigma)
-    else:
-        system = StratSystem(ctx, drift, sigma)
+    try:
+        system = (ItoSystem if system_type == "ito" else StratSystem)(ctx, drift, sigma)
+    except ModelError as err:
+        raise ModelFileError(f"[system] {err}") from None
 
     state_overrides: Dict[int, Tuple[float, float]] = {}
     wiener_overrides: Dict[int, Tuple[float, float]] = {}
@@ -220,9 +229,12 @@ def load_model(source: Union[str, Path], text: Optional[str] = None) -> ModelBun
             wiener_map = None
             if "R" in section:
                 wiener_map = _parse_matrix(section["R"], m, where)
-            bundle.covs[name] = ChangeOfVariables(
-                ctx, forward, direction=direction, wiener_map=wiener_map, inverse=inverse
-            )
+            try:
+                bundle.covs[name] = ChangeOfVariables(
+                    ctx, forward, direction=direction, wiener_map=wiener_map, inverse=inverse
+                )
+            except ReductionError as err:
+                raise ModelFileError(f"{where}: {err}") from None
         elif section_name not in ("system", "params", "sampling"):
             raise ModelFileError(f"unknown section [{section_name}]")
     return bundle

@@ -20,25 +20,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import ndtri
 
 from .expr import (
-    Const,
     Context,
+    EvaluationError,
     Expr,
+    Kernel,
     TIME,
-    Var,
-    VarKind,
-    eval_array,
     evaluate,
     free_vars,
     simplify,
     state,
-    wiener,
 )
 from .expr.calculus import differentiate
 from .reduction import ChangeOfVariables, ReductionError, SolutionForm, numeric_inverse
@@ -149,18 +146,6 @@ def _snapshot_steps(steps: int, snapshots: int) -> np.ndarray:
     return idx
 
 
-def _coefficient_evaluator(ctx: Context, exprs: Sequence[Expr]):
-    exprs = [simplify(e) for e in exprs]
-    params = dict(ctx.params)
-
-    def call(x: np.ndarray, t: float) -> List[np.ndarray]:
-        env = {state(i + 1): x[:, i] for i in range(ctx.n)}
-        env[TIME] = t
-        return [np.broadcast_to(eval_array(e, env, params), x.shape[:1]).astype(float) for e in exprs]
-
-    return call
-
-
 def _simulate(
     ctx: Context,
     drift: Sequence[Expr],
@@ -175,13 +160,19 @@ def _simulate(
     snapshots: int,
     dw_transform: Optional[np.ndarray],
 ) -> Ensemble:
+    if scheme not in ("euler_maruyama", "heun"):
+        raise ValueError(f"unknown scheme {scheme!r}")
     n, m = ctx.n, ctx.m
     steps = int(round((T - t0) / dt))
     snap = _snapshot_steps(steps, snapshots)
     snap_set = {int(s): i for i, s in enumerate(snap)}
 
-    drift_eval = _coefficient_evaluator(ctx, list(drift))
-    sigma_eval = _coefficient_evaluator(ctx, [sigma[i][k] for i in range(n) for k in range(m)])
+    # one kernel for all coefficients: column i is f_i, column n + i*m + k is sigma_ik
+    coefficients = [*drift, *(sigma[i][k] for i in range(n) for k in range(m))]
+    kernel = Kernel([simplify(e) for e in coefficients], ctx.states() + (TIME,), ctx.params)
+
+    def coefficients_at(x: np.ndarray, t: float) -> np.ndarray:
+        return kernel([*x.T, t], out=np.empty((n_paths, len(coefficients))))
 
     keys = _path_keys(seed, n_paths)
     x = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
@@ -202,34 +193,23 @@ def _simulate(
             dW = ndtri(_uniforms(keys, positions)) * sqrt_dt
             if dw_transform is not None:
                 dW = dW @ dw_transform.T
-            if scheme == "euler_maruyama":
-                f_vals = drift_eval(x, t)
-                s_vals = sigma_eval(x, t)
+            # Euler-Maruyama step, which is also Heun's predictor
+            c = coefficients_at(x, t)
+            new_x = x.copy()
+            for i in range(n):
+                incr = c[:, i] * dt
+                for k in range(m):
+                    incr = incr + c[:, n + i * m + k] * dW[:, k]
+                new_x[:, i] = x[:, i] + incr
+            if scheme == "heun":
+                c_pred = coefficients_at(new_x, t + dt)
                 new_x = x.copy()
                 for i in range(n):
-                    incr = f_vals[i] * dt
+                    incr = 0.5 * (c[:, i] + c_pred[:, i]) * dt
                     for k in range(m):
-                        incr = incr + s_vals[i * m + k] * dW[:, k]
+                        j = n + i * m + k
+                        incr = incr + 0.5 * (c[:, j] + c_pred[:, j]) * dW[:, k]
                     new_x[:, i] = x[:, i] + incr
-            elif scheme == "heun":
-                f_vals = drift_eval(x, t)
-                s_vals = sigma_eval(x, t)
-                pred = x.copy()
-                for i in range(n):
-                    incr = f_vals[i] * dt
-                    for k in range(m):
-                        incr = incr + s_vals[i * m + k] * dW[:, k]
-                    pred[:, i] = x[:, i] + incr
-                f_pred = drift_eval(pred, t + dt)
-                s_pred = sigma_eval(pred, t + dt)
-                new_x = x.copy()
-                for i in range(n):
-                    incr = 0.5 * (f_vals[i] + f_pred[i]) * dt
-                    for k in range(m):
-                        incr = incr + 0.5 * (s_vals[i * m + k] + s_pred[i * m + k]) * dW[:, k]
-                    new_x[:, i] = x[:, i] + incr
-            else:
-                raise ValueError(f"unknown scheme {scheme!r}")
 
             ok = np.all(np.isfinite(new_x), axis=1) & (
                 np.max(np.abs(new_x), axis=1) < _DIVERGENCE_BOUND
@@ -305,33 +285,25 @@ class FlowError(ValueError):
 
 
 def _affine_generator(X: VectorField) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """If the field is affine in (x, w) with constant coefficients, return
-    (L, c) with dz/ds = L z + c over z = (x, w); else None."""
+    """If the field is affine in (x, w) once ``ctx.params`` are bound, return (L, c)
+    with dz/ds = L z + c over z = (x, w), else None: L holds the derivatives,
+    which must be free of every variable, and c is the field at the origin."""
     ctx = X.ctx
     d = ctx.n + ctx.m
-    L = np.zeros((d, d))
-    c = np.zeros(d)
-    coords = [state(i + 1) for i in range(ctx.n)] + [wiener(k + 1) for k in range(ctx.m)]
-    components = list(X.phi) + list(X.noise_exprs())
-    for row, comp in enumerate(components):
-        comp = simplify(comp)
-        if TIME in free_vars(comp):
-            return None
-        remainder = comp
-        for col, var in enumerate(coords):
-            coeff = simplify(differentiate(comp, var))
-            if not isinstance(coeff, Const):
-                return None
-            L[row, col] = float(coeff.value)
-        from .expr import Neg, add, mul
-
-        remainder = simplify(
-            add(comp, *(Neg(mul(Const(L[row, col]), Var(v))) for col, v in enumerate(coords)))
-        )
-        if not isinstance(remainder, Const):
-            return None
-        c[row] = float(remainder.value)
-    return L, c
+    coords = ctx.states() + ctx.wieners()
+    components = [simplify(e) for e in list(X.phi) + list(X.noise_exprs())]
+    if any(TIME in free_vars(comp) for comp in components):
+        return None
+    slopes = [simplify(differentiate(comp, v)) for comp in components for v in coords]
+    if any(free_vars(slope) for slope in slopes):
+        return None
+    try:
+        values, failed = Kernel(slopes + components, coords, ctx.params).strict([0.0] * d)
+    except EvaluationError:  # an unbound parameter
+        return None
+    if failed[0]:
+        return None
+    return values[: d * d, 0].reshape(d, d), values[d * d :, 0]
 
 
 def flow_map(X: VectorField, s: float) -> Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
@@ -357,17 +329,11 @@ def flow_map(X: VectorField, s: float) -> Callable[[np.ndarray, np.ndarray], Tup
 
         return apply_affine
 
-    params = dict(ctx.params)
     components = [simplify(e) for e in list(X.phi) + list(X.noise_exprs())]
+    kernel = Kernel(components, ctx.states() + ctx.wieners() + (TIME,), ctx.params)
 
     def velocity(z: np.ndarray) -> np.ndarray:
-        env = {state(i + 1): z[:, i] for i in range(ctx.n)}
-        env.update({wiener(k + 1): z[:, ctx.n + k] for k in range(ctx.m)})
-        env[TIME] = 0.0
-        return np.stack(
-            [np.broadcast_to(eval_array(e, env, params), z.shape[:1]) for e in components],
-            axis=1,
-        ).astype(float)
+        return kernel([*z.T, 0.0], out=np.empty(z.shape))
 
     substeps = 64
 
@@ -578,25 +544,19 @@ def evaluate_solution_form(sf: SolutionForm, grid: BrownianGrid, x0: float) -> n
     """Evaluate x(t) = x0 + int F dt + sum_k int S_k dw^k along one path:
     trapezoidal rule for the dt integral, left-point (non-anticipating)
     sums for the stochastic integrals."""
-    params = dict(sf.ctx.params)
     times = grid.times
     K = len(times)
-
-    def values(e: Expr) -> np.ndarray:
-        env = {TIME: times}
-        for k in range(grid.m):
-            env[wiener(k + 1)] = grid.w[:, k]
-        return np.broadcast_to(eval_array(e, env, params), (K,)).astype(float)
-
-    drift_vals = values(sf.drift)
+    kernel = Kernel([sf.drift, *sf.noises], (TIME,) + sf.ctx.wieners(), sf.ctx.params)
+    values = kernel([times, *grid.w.T], out=np.empty((K, 1 + len(sf.noises))))
+    drift_vals = values[:, 0]
     out = np.empty(K)
     out[0] = x0
     drift_cum = np.concatenate(
         [[0.0], np.cumsum(0.5 * (drift_vals[1:] + drift_vals[:-1]) * grid.dt)]
     )
     stoch_cum = np.zeros(K)
-    for k, noise in enumerate(sf.noises):
-        noise_vals = values(noise)
+    for k in range(len(sf.noises)):
+        noise_vals = values[:, 1 + k]
         stoch_cum += np.concatenate(
             [[0.0], np.cumsum(noise_vals[:-1] * grid.increments[:, k])]
         )
@@ -615,7 +575,6 @@ def solution_form_terminals(
     """Terminal values of the solution form over the same Brownian ensemble
     that `euler_maruyama` would generate for (seed, n_paths); streamed, so
     nothing but running sums is stored."""
-    params = dict(sf.ctx.params)
     steps = int(round((T - t0) / dt))
     keys = _path_keys(seed, n_paths)
     m = sf.ctx.m
@@ -623,23 +582,24 @@ def solution_form_terminals(
     drift_sum = np.zeros(n_paths)
     stoch_sum = np.zeros(n_paths)
     sqrt_dt = math.sqrt(dt)
+    columns = (TIME,) + sf.ctx.wieners()
+    drift = Kernel([sf.drift], columns, sf.ctx.params)
+    noises = Kernel(sf.noises[:m], columns, sf.ctx.params)
 
-    def coeff_values(e: Expr, t: float, wv: np.ndarray) -> np.ndarray:
-        env = {TIME: t}
-        for k in range(m):
-            env[wiener(k + 1)] = wv[:, k]
-        return np.broadcast_to(eval_array(e, env, params), (n_paths,)).astype(float)
+    def at(kernel: Kernel, t: float, wv: np.ndarray) -> np.ndarray:
+        return kernel([t, *wv.T], out=np.empty((n_paths, len(kernel.outputs))))
 
     with np.errstate(all="ignore"):
-        prev_drift = coeff_values(sf.drift, t0, w)
+        prev_drift = at(drift, t0, w)[:, 0]
         for s in range(steps):
             t = t0 + s * dt
             positions = np.uint64(s) * np.uint64(m) + np.arange(m, dtype=np.uint64)
             dW = ndtri(_uniforms(keys, positions)) * sqrt_dt
+            noise_vals = at(noises, t, w)
             for k in range(m):
-                stoch_sum += coeff_values(sf.noises[k], t, w) * dW[:, k]
+                stoch_sum += noise_vals[:, k] * dW[:, k]
             w = w + dW
-            new_drift = coeff_values(sf.drift, t + dt, w)
+            new_drift = at(drift, t + dt, w)[:, 0]
             drift_sum += 0.5 * (prev_drift + new_drift) * dt
             prev_drift = new_drift
     return x0 + drift_sum + stoch_sum
@@ -676,18 +636,16 @@ def pipeline_crosscheck(
     map-back is not finite, or that the direct run excluded, are dropped
     from both means."""
     ctx = system.ctx
-    params = dict(ctx.params)
-    start = {state(1): x0, TIME: 0.0}
-    start.update({wiener(k + 1): 0.0 for k in range(ctx.m)})
-    y0 = evaluate(cov.forward[0], start, params)
+    start = dict.fromkeys(ctx.all_vars(), 0.0)
+    start[state(1)] = x0
+    y0 = evaluate(cov.forward[0], start, ctx.params)
     terminals = solution_form_terminals(form, 0.0, T, dt, n_paths, seed, x0=y0)
     direct = euler_maruyama(system, [x0], T=T, dt=dt, n_paths=n_paths, seed=seed, snapshots=2)
     w_T = direct.w[-1]
     x_T = direct.terminal_states()[:, 0]
     if cov.inverse is not None:
-        env = {state(1): terminals, TIME: T}
-        env.update({wiener(k + 1): w_T[:, k] for k in range(ctx.m)})
-        mapped_back = np.asarray(eval_array(cov.inverse[0], env, params), dtype=float)
+        inverse = Kernel(cov.inverse[:1], ctx.all_vars(), ctx.params)
+        mapped_back = inverse([terminals, T, *w_T.T], out=np.empty((n_paths, 1)))[:, 0]
     else:
         solve = numeric_inverse(cov)
         mapped_back = np.full_like(terminals, np.nan)

@@ -620,36 +620,32 @@ def numeric_inverse(cov: ChangeOfVariables, config: Optional[ZeroTestConfig] = N
         raise ReductionError("numeric inversion expects an old_to_new map")
     if cov.ctx.n != 1:
         raise ReductionError("numeric inversion is implemented for scalar maps")
-    from .expr.evaluate import EvaluationError, evaluate
+    from .expr.evaluate import Kernel
 
     forward = cov.forward[0]
     dforward = differentiate(forward, state(1))
-    params = dict(cov.ctx.params)
+    columns = (state(1), TIME) + cov.ctx.wieners()
+    value = Kernel([forward], columns, cov.ctx.params)
+    value_and_slope = Kernel([forward, dforward], columns, cov.ctx.params)
 
     def solve(y: float, t: float, w_values, x_start: float) -> float:
         x = float(x_start)
-        point = {TIME: float(t)}
-        for k, wv in enumerate(w_values):
-            point[wiener(k + 1)] = float(wv)
         for _ in range(80):
-            point[state(1)] = x
-            try:
-                residual = evaluate(forward, point, params) - y
-                slope = evaluate(dforward, point, params)
-            except EvaluationError as err:
-                raise ReductionError(f"inversion left the domain: {err}") from None
+            (residual, slope), failed = value_and_slope.strict([x, t, *w_values])
+            if failed[0]:
+                raise ReductionError(f"inversion left the domain at x = {x!r}")
+            residual, slope = float(residual[0]) - y, float(slope[0])
             if slope == 0.0:
                 raise ReductionError("inversion hit a critical point")
             step = residual / slope
             # damping: halve until the residual decreases
             for _ in range(30):
                 candidate = x - step
-                point[state(1)] = candidate
-                try:
-                    new_residual = evaluate(forward, point, params) - y
-                except EvaluationError:
+                (new_value,), failed = value.strict([candidate, t, *w_values])
+                if failed[0]:
                     step *= 0.5
                     continue
+                new_residual = float(new_value[0]) - y
                 if abs(new_residual) <= abs(residual):
                     break
                 step *= 0.5

@@ -174,27 +174,22 @@ def sigma_rank_info(sys, box=None, points: int = 8, seed: int = 0) -> dict:
     simply means some state directions are driven deterministically."""
     import numpy as np
 
-    from .expr import SamplingBox, TIME
-    from .expr.evaluate import EvaluationError, evaluate
+    from .expr import EvaluationError, Kernel, SamplingBox
 
     box = box or SamplingBox()
     rng = np.random.default_rng(seed)
     ctx = sys.ctx
-    ranks = []
-    for _ in range(points):
-        point = {TIME: float(rng.uniform(*box.time))}
-        for i in range(1, ctx.n + 1):
-            point[state(i)] = float(rng.uniform(*box.for_var(state(i))))
-        try:
-            mat = np.array(
-                [
-                    [evaluate(sys.sigma[i][k], point, dict(ctx.params)) for k in range(ctx.m)]
-                    for i in range(ctx.n)
-                ]
-            )
-        except EvaluationError:
-            continue
-        ranks.append(int(np.linalg.matrix_rank(mat, tol=1e-10)))
+    columns = (TIME,) + ctx.states()  # the order of the draws
+    draws = np.array([[rng.uniform(*box.for_var(v)) for v in columns] for _ in range(points)])
+    entries = [e for row in sys.sigma for e in row]
+    try:
+        values, failed = Kernel(entries, columns, ctx.params).strict(draws.T)
+    except EvaluationError:  # sigma reads a Wiener variable or an unbound parameter
+        failed = np.ones(points, dtype=bool)
+    ranks = [
+        int(np.linalg.matrix_rank(values[:, p].reshape(ctx.n, ctx.m), tol=1e-10))
+        for p in np.flatnonzero(~failed)
+    ]
     if not ranks:
         return {"rank_min": None, "rank_max": None, "points": 0}
     return {

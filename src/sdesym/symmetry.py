@@ -40,7 +40,7 @@ from .expr import (
     to_string,
     wiener,
 )
-from .expr.evaluate import EvaluationError, evaluate
+from .expr.evaluate import EvaluationError, Kernel
 from .sde import ItoSystem, StratSystem, ito_laplacian, ito_to_strat
 
 Vector = Tuple[Expr, ...]
@@ -199,11 +199,14 @@ def _tau_time_only_and_increasing(tau: Expr, ctx: Context, config: ZeroTestConfi
     dtau = differentiate(simplify(tau), TIME)
     lo, hi = config.box.time
     ts = np.linspace(lo, hi, 17)
-    for t in ts:
-        try:
-            value = evaluate(dtau, {TIME: float(t)}, dict(ctx.params))
-        except EvaluationError:
-            return False, "tau'(t) could not be evaluated on the sampling window"
+    unevaluable = (False, "tau'(t) could not be evaluated on the sampling window")
+    try:
+        (values,), failed = Kernel([dtau], (TIME,), ctx.params).strict([ts])
+    except EvaluationError:  # an unbound parameter
+        return unevaluable
+    for t, value, bad in zip(ts, values, failed):
+        if bad:
+            return unevaluable
         if value <= 0:
             return False, f"tau'(t) = {value:.3e} <= 0 at t = {t:.3f} (sampled positivity)"
     return True, "tau = tau(t) with tau'(t) > 0 at all sampled times"
@@ -758,16 +761,14 @@ class SolvabilityResult:
         }
 
 
-def _field_features(X: VectorField, points: List[dict], params: dict) -> np.ndarray:
-    values = []
-    for point in points:
-        for component in X.phi:
-            values.append(evaluate(component, point, params))
-    if isinstance(X.noise, LinearW):
-        values.extend(X.noise.matrix.ravel().tolist())
-    else:
-        values.extend([0.0] * (X.ctx.m * X.ctx.m))
-    return np.array(values)
+def _field_features(X: VectorField, columns, points: np.ndarray) -> np.ndarray:
+    """Components of X at each row of ``points``, then its Wiener matrix."""
+    ctx = X.ctx
+    values, failed = Kernel(X.phi, columns, ctx.params).strict(points.T)
+    if failed.any():
+        raise EvaluationError(f"a component of the field is not finite at {points[failed][0]}")
+    matrix = X.noise.matrix if isinstance(X.noise, LinearW) else np.zeros((ctx.m, ctx.m))
+    return np.concatenate([values.T.ravel(), matrix.ravel()])
 
 
 def solvability_check(
@@ -791,28 +792,17 @@ def solvability_check(
         raise SymmetryError("generators live over different contexts")
 
     rng = np.random.default_rng(config.seed + 1)
-    points = []
-    for _ in range(max(3 * r, 12)):
-        point = {}
-        for v in ctx.states():
-            lo, hi = config.box.for_var(v)
-            point[v] = float(rng.uniform(lo, hi))
-        for v in ctx.wieners():
-            lo, hi = config.box.for_var(v)
-            point[v] = float(rng.uniform(lo, hi))
-        from .expr import TIME as _T
+    columns = ctx.states() + ctx.wieners() + (TIME,)  # the order of the draws
+    points = np.array(
+        [[rng.uniform(*config.box.for_var(v)) for v in columns] for _ in range(max(3 * r, 12))]
+    )
 
-        lo, hi = config.box.time
-        point[_T] = float(rng.uniform(lo, hi))
-        points.append(point)
-    params = dict(ctx.params)
-
-    G = np.stack([_field_features(g, points, params) for g in generators])  # (r, D)
+    G = np.stack([_field_features(g, columns, points) for g in generators])  # (r, D)
     c = np.zeros((r, r, r))
     for i in range(r):
         for j in range(i + 1, r):
             bracket = lie_bracket(generators[i], generators[j])
-            target = _field_features(bracket, points, params)
+            target = _field_features(bracket, columns, points)
             coeffs, *_ = np.linalg.lstsq(G.T, target, rcond=None)
             coeffs[np.abs(coeffs) < 1e-10] = 0.0
             # certify the expansion symbolically

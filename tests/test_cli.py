@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdesym.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, main
+from sdesym.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, main, model_dir
+from sdesym.modelfile import ModelFileError, load_model
 
 
 def run(capsys, *argv):
@@ -181,3 +188,67 @@ def test_integrate_auto_variable_without_inverse(capsys):
     payload = json.loads(out)
     assert payload["step"]["transformed"]["ito_like"] is False
     assert payload["monte_carlo"]["pass"] is True
+
+
+# ---------------------------------------------------------------------------
+# hostile input
+
+
+@pytest.mark.parametrize(
+    "command, paths",
+    [("simulate", "0"), ("simulate", "-3"), ("integrate", "1")],
+)
+def test_bad_path_count_is_usage_error(capsys, command, paths):
+    argv = [command, "--model", "exp_decay_diffusion", "--paths", paths, "--json"]
+    if command == "integrate":
+        argv += ["--field", "shift", "--cov", "rectify"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error:" in err and "--paths" in err
+
+
+# Fragments spliced into bundled model files: structure, bad numbers, bad
+# matrices and intervals, out-of-domain expressions and stray syntax.
+FRAGMENTS = [
+    "", "x", "w", "t", "0", "-1", "2.5", "1e400", "nan", "a", "lam", ",", "=", "\n",
+    "(", ")", "[", "]", "^", "*", "/", "#", "[system]", "[sampling]", "[params]",
+    "[vectorfield.v]", "[changeofvars.c]", "\nx1 = a, 2\n", "\nx1 = 2, 1\n",
+    '\nR = [["a"]]\n', "\nR = [[1, 2]]\n", "\nR = [1]\n", "\nn = 0\n", "\nm = 2\n",
+    "\ntype = strat\n", "\nphi1 = x\n", "\nh1 = w\n", "\ndirection = sideways\n",
+    "Ei(0)", "log(-1)", "exp(1000)", "sqrt(-x)", "1/0", "x^(1/2)", "0^0",
+]
+BUNDLED_TEXTS = [p.read_text() for p in sorted(model_dir().glob("*.model"))]
+
+
+@st.composite
+def mutated_model_texts(draw):
+    text = draw(st.sampled_from(BUNDLED_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 16)))
+        text = text[:start] + draw(st.sampled_from(FRAGMENTS)) + text[end:]
+    return text
+
+
+@given(mutated_model_texts())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_mutated_model_files_give_diagnostics(text):
+    try:
+        load_model("mutated", text=text)
+        loads = True
+    except ModelFileError:
+        loads = False
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.model"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", "--model", str(path)])
+    assert "Traceback" not in err.getvalue()
+    if not loads:
+        assert code == EXIT_USAGE
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith("error:")
+    else:
+        assert code == EXIT_OK

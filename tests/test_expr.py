@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ from sdesym.expr import (
     Const,
     Context,
     EvaluationError,
+    Kernel,
     Neg,
     ONE,
     Power,
+    Product,
+    Sum,
     Var,
     ZERO,
     add,
@@ -33,7 +38,8 @@ from sdesym.expr import (
     wiener,
     TIME,
 )
-from treegen import random_tree, sample_point
+from sdesym.expr.evaluate import eval_magnitude
+from treegen import oracle_cases, random_tree, sample_point
 
 CTX = Context(n=2, m=2)
 SCALAR = Context(n=1, m=1)
@@ -180,8 +186,6 @@ def test_simplify_value_preserving_bulk():
             try:
                 v0 = evaluate(e, p)
                 v1 = evaluate(s, p)
-                from sdesym.expr.evaluate import eval_magnitude
-
                 mag = eval_magnitude(e, p)
             except EvaluationError:
                 continue
@@ -217,6 +221,109 @@ def test_evaluate_errors_are_surfaced():
         evaluate(parse("x + y", SCALAR), {state(1): 1.0})  # unbound param
     with pytest.raises(EvaluationError):
         evaluate(parse("exp(x)", SCALAR), {state(1): 1e4})  # overflow
+
+
+def test_strict_sums_run_left_to_right():
+    # (1e16 + 1) rounds to 1e16 before -1e16 is added; an exactly rounded
+    # sum would give 1
+    e = parse("x + 1 - x", SCALAR)
+    assert evaluate(e, {state(1): 1e16}) == 0.0
+
+
+def test_overflowing_terms_are_failed_lanes():
+    # both terms overflow to inf at the large end of the box: inf - inf used
+    # to escape strict evaluation as a bare ValueError
+    e = parse("x^600*exp(300*t)*(sin(x)^2 + cos(x)^2) - x^600*exp(300*t)", SCALAR)
+    v = is_identically_zero(e, SCALAR)
+    assert v.failures > 0
+    assert v.points_evaluated > 0
+    assert v.points_evaluated + v.failures == 64
+    assert v.status == "zero"
+    with pytest.raises(EvaluationError):
+        evaluate(e, {state(1): 2.0, TIME: 2.0})
+
+
+ORACLE = json.loads((Path(__file__).parent / "eval_oracle.json").read_text())
+
+
+def test_evaluator_matches_recorded_oracle():
+    # eval_oracle.json holds the results of the tree-walking evaluators that
+    # the compiled kernel replaced (exact fsum sums, math-module functions),
+    # None marking a failed point; each tree's printed form guards against a
+    # change in how treegen regenerates the cases
+    cases = oracle_cases(ORACLE["seed"], ORACLE["count"], CTX)
+    checked = 0
+    for want, (e, points) in zip(ORACLE["cases"], cases, strict=True):
+        assert to_string(e) == want["tree"]
+        for i, p in enumerate(points):
+            for fn, recorded in ((evaluate, want["value"]), (eval_magnitude, want["magnitude"])):
+                try:
+                    got = fn(e, p)
+                except EvaluationError:
+                    got = None
+                assert (got is None) == (recorded[i] is None), f"{want['tree']} at {p}"
+                if got is not None:
+                    scale = 1.0 + (want["magnitude"][i] or abs(recorded[i]))
+                    assert abs(got - recorded[i]) <= 1e-12 * scale, f"{want['tree']} at {p}"
+                    checked += 1
+    assert checked > 1500
+
+
+def test_kernel_batch_equals_single_lanes():
+    for e, points in oracle_cases(ORACLE["seed"], ORACLE["count"], CTX):
+        kernel = Kernel([e], CTX.all_vars(), magnitudes=[e])
+        lanes = np.array([[p[v] for v in CTX.all_vars()] for p in points])
+        values, failed = kernel.strict(lanes.T)
+        for j, row in enumerate(lanes):
+            one, one_failed = kernel.strict(row)
+            assert one_failed[0] == failed[j]
+            if not failed[j]:
+                assert one[:, 0].tobytes() == values[:, j].tobytes(), to_string(e)
+
+
+def test_kernel_rejects_wrong_column_count():
+    kernel = Kernel([parse("x1 + t", CTX)], (state(1), TIME))
+    with pytest.raises(ValueError, match="2 input columns"):
+        kernel.strict(np.linspace(0.0, 1.0, 5))  # lanes of one column, not five columns
+    with pytest.raises(ValueError, match="2 input columns"):
+        kernel([1.0])
+    (values,), failed = kernel.strict([np.linspace(0.0, 1.0, 5), 1.0])
+    assert values.shape == (5,) and not failed.any()
+
+
+def _node_by_node(e, point):
+    """Reference: walk the tree, sums and products left to right, with the
+    numpy operations the kernel uses."""
+    if isinstance(e, Const):
+        return float(e.value)
+    if isinstance(e, Var):
+        return point[e.var]
+    if isinstance(e, Neg):
+        return -_node_by_node(e.arg, point)
+    if isinstance(e, (Sum, Product)):
+        parts = [_node_by_node(a, point) for a in (e.terms if isinstance(e, Sum) else e.factors)]
+        total = parts[0]
+        for part in parts[1:]:
+            total = total + part if isinstance(e, Sum) else total * part
+        return total
+    if isinstance(e, Power):
+        return np.power(_node_by_node(e.base, point), _node_by_node(e.exponent, point))
+    ufuncs = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos,
+              "arctan": np.arctan, "Ei": expi}
+    return ufuncs[e.fn](_node_by_node(e.arg, point))
+
+
+def test_eval_array_is_bit_identical_to_node_by_node_evaluation():
+    # what keeps Monte Carlo ensembles reproducible: shared subtrees and
+    # folded constants must not change a single bit
+    rng = np.random.default_rng(17)
+    for e, points in oracle_cases(ORACLE["seed"], ORACLE["count"], CTX):
+        columns = {v: rng.uniform(-2.0, 2.0, size=64) for v in CTX.all_vars()}
+        for point in (columns, points[0]):
+            with np.errstate(all="ignore"):
+                want = np.broadcast_to(_node_by_node(e, point), np.shape(point[TIME]))
+            got = np.broadcast_to(eval_array(e, point), np.shape(point[TIME]))
+            assert np.array_equal(got, want, equal_nan=True), to_string(e)
 
 
 def test_eval_array_vectorizes():

@@ -109,6 +109,18 @@ def test_bad_interval_rejected():
         load_model("inline", text=text)
 
 
+@pytest.mark.parametrize(
+    "extra, match",
+    [
+        ("\n[sampling]\nx1 = a, 2\n", "bounds must be numbers"),
+        ('\n[vectorfield.v]\nphi1 = x\nR = [["a"]]\n', "matrix entries must be numbers"),
+    ],
+)
+def test_non_numeric_bounds_and_matrix_rejected(extra, match):
+    with pytest.raises(ModelFileError, match=match):
+        load_model("inline", text=MINIMAL + extra)
+
+
 def test_changeofvars_section():
     text = MINIMAL + """
 [changeofvars.c]

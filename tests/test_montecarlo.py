@@ -9,6 +9,7 @@ from sdesym.expr import Context, ONE, ZERO, parse, state, wiener
 from sdesym.modelfile import load_model
 from sdesym.montecarlo import (
     BrownianGrid,
+    _affine_generator,
     apply_group_map,
     ensemble_stats,
     euler_maruyama,
@@ -236,6 +237,22 @@ def test_nonaffine_flow_numeric_integration():
     states = np.array([[1.0]])
     out, _ = mapping(states, np.zeros((1, 1)))
     assert out[0, 0] == pytest.approx(1.0 / (1.0 - 0.2), rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "field, L, c",
+    [
+        ("shear", [[0.0, 1.3], [0.0, 1.0]], [0.0, 0.0]),  # phi = B*w
+        ("split_translation", [[0.0, 0.0], [0.0, 1.0]], [1.3, 0.0]),  # phi = B
+    ],
+)
+def test_parameter_affine_fields_take_the_exact_flow(field, L, c):
+    # B = 1.3 is a model parameter: the generator binds it instead of
+    # falling back to RK4
+    generator = _affine_generator(bundle("constant_coefficients").vectorfields[field])
+    assert generator is not None
+    assert np.array_equal(generator[0], L)
+    assert np.array_equal(generator[1], c)
 
 
 def test_shear_flow_maps_solutions_to_solutions():

@@ -92,6 +92,23 @@ def test_classify_decreasing_tau_inadmissible():
     assert not cls.admissible
 
 
+@pytest.mark.parametrize(
+    "tau, reason",
+    [
+        # tau' = 1 - t is positive at the start of the window, negative after t = 1
+        ("t - t^2/2", "positivity"),
+        # tau' = 1 + (3/2) sqrt(1 - t) is positive while defined, not real after t = 1
+        ("t - (1 - t)^(3/2)", "could not be evaluated"),
+    ],
+)
+def test_classify_tau_checked_at_every_sampled_time(tau, reason):
+    X = VectorField(SCALAR, (ZERO,), tau=parse(tau, SCALAR))
+    sys_ = ItoSystem(SCALAR, (ZERO,), ((ONE,),))
+    cls = classify(X, sys_)
+    assert not cls.admissible
+    assert any(reason in r for r in cls.reasons), cls.reasons
+
+
 def test_classify_general_h_linear_extraction():
     # h = 2w is recognized as a constant linear action and gated as such
     X = VectorField(SCALAR, (parse("x", SCALAR),), noise=GeneralH((parse("2*w", SCALAR),)))

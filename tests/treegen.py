@@ -82,3 +82,19 @@ def sample_point(rng: np.random.Generator, ctx: Context):
     for k in range(1, ctx.m + 1):
         point[wiener(k)] = float(rng.uniform(-1.5, 1.5))
     return point
+
+
+def hostile_point(rng: np.random.Generator, ctx: Context):
+    """A point off the sampling box: each coordinate is 0, negative or large,
+    so that poles and overflow occur."""
+    return {v: float(rng.choice([0.0, -1.0, -30.0, 40.0, 900.0])) for v in ctx.all_vars()}
+
+
+def oracle_cases(seed: int, count: int, ctx: Context):
+    """``count`` trees of depth <= 4, each with three sampling-box points and
+    one hostile point (points keyed by VarId)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        e = random_tree(rng, ctx, 4)
+        points = [sample_point(rng, ctx) for _ in range(3)] + [hostile_point(rng, ctx)]
+        yield e, points
