@@ -10,6 +10,7 @@ with a witness; too many evaluation failures yield Inconclusive.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -174,11 +175,16 @@ def is_identically_zero(
     )
 
 
+@functools.lru_cache(maxsize=256)
 def _sample_points(dim: int, count: int, seed: int) -> np.ndarray:
+    """Scrambled Sobol points in [0, 1)^dim; the arguments repeat across
+    zero tests, so each set is built once and shared read-only."""
     if dim == 0:
-        return np.zeros((1, 0))
-    sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    return sampler.random(count)
+        points = np.zeros((1, 0))
+    else:
+        points = qmc.Sobol(d=dim, scramble=True, seed=seed).random(count)
+    points.setflags(write=False)
+    return points
 
 
 def expressions_equal(

@@ -398,8 +398,8 @@ def transform_ito(
 ) -> GeneralSDE:
     """Push an Ito system through a state-space map y = Phi(x,t;w):
 
-        F^i = d_t Phi^i + f^j d_j Phi^i + (1/2) Delta Phi^i
-        S^i_k = d_{w^k} Phi^i + sigma^j_k d_j Phi^i
+        F^i = L0 Phi^i = d_t Phi^i + f^j d_j Phi^i + (1/2) Delta Phi^i
+        S^i_k = L_k Phi^i = d_{w^k} Phi^i + sigma^j_k d_j Phi^i
 
     Results are re-expressed in the new variables when an inverse map is
     supplied, else returned in the old variables with expressed_in='old'.
@@ -412,35 +412,11 @@ def transform_ito(
     if cov.wiener_map is not None:
         raise ReductionError("transform_ito handles maps that fix the Wiener variables")
     ctx = sys.ctx
-    F, S = [], []
-    for i in range(ctx.n):
-        phi_i = cov.forward[i]
-        F.append(
-            simplify(
-                add(
-                    differentiate(phi_i, TIME),
-                    *(
-                        mul(sys.f[j], differentiate(phi_i, state(j + 1)))
-                        for j in range(ctx.n)
-                    ),
-                    mul(HALF, ito_laplacian(phi_i, sys)),
-                )
-            )
-        )
-        S.append(
-            tuple(
-                simplify(
-                    add(
-                        differentiate(phi_i, wiener(k + 1)),
-                        *(
-                            mul(sys.sigma[j][k], differentiate(phi_i, state(j + 1)))
-                            for j in range(ctx.n)
-                        ),
-                    )
-                )
-                for k in range(ctx.m)
-            )
-        )
+    F = [transport_operator(phi_i, sys) for phi_i in cov.forward]
+    S = [
+        tuple(shift_operator(phi_i, sys, k) for k in range(1, ctx.m + 1))
+        for phi_i in cov.forward
+    ]
     preservation = ito_preservation_check(sys, cov, config)
     ito_like = all(v.is_zero for v in preservation)
     if any(v.status == "inconclusive" for v in preservation):
@@ -480,24 +456,6 @@ def ito_preservation_check(
             for k in range(1, ctx.m + 1):
                 out.append(is_identically_zero(shift_operator(grad, sys, k), ctx, config))
     return out
-
-
-def _q_operator(u: Expr, S: Matrix, ctx: Context) -> Expr:
-    """Ito Laplacian in the new variables with (unknown, now solved) S."""
-    pieces = []
-    for mm in range(1, ctx.m + 1):
-        pieces.append(differentiate(differentiate(u, wiener(mm)), wiener(mm)))
-    dstate = {j: differentiate(u, state(j)) for j in range(1, ctx.n + 1)}
-    for j in range(1, ctx.n + 1):
-        for l in range(1, ctx.n + 1):
-            a_jl = add(*(mul(S[j - 1][k], S[l - 1][k]) for k in range(ctx.m)))
-            pieces.append(mul(a_jl, differentiate(dstate[j], state(l))))
-    for j in range(1, ctx.n + 1):
-        for mm in range(1, ctx.m + 1):
-            pieces.append(
-                mul(Const(2), S[j - 1][mm - 1], differentiate(dstate[j], wiener(mm)))
-            )
-    return simplify(add(*pieces))
 
 
 def transform_W(
@@ -576,13 +534,13 @@ def transform_W(
             inner = add(
                 f_t[j],
                 Neg(differentiate(Phi[j], TIME)),
-                Neg(mul(HALF, _q_operator(Phi[j], S_t, ctx))),
+                Neg(mul(HALF, ito_laplacian(Phi[j], S_t, ctx))),
                 *(
                     mul(
                         s_t[j][k],
                         add(
                             differentiate(H[k], TIME),
-                            mul(HALF, _q_operator(H[k], S_t, ctx)),
+                            mul(HALF, ito_laplacian(H[k], S_t, ctx)),
                         ),
                     )
                     for k in range(ctx.m)

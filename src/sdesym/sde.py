@@ -1,5 +1,5 @@
-"""SDE model types, the Ito Laplacian, the associated first/second order
-operators, and Ito <-> Stratonovich conversion.
+"""SDE model types, the Ito Laplacian, the transport and shift operators
+of both calculi, and Ito <-> Stratonovich conversion.
 
 Conventions: the diffusion matrix sigma has row i = state component and
 column k = Wiener component; indices are raised and lowered with the
@@ -8,7 +8,7 @@ Euclidean metric, so (sigma sigma^T)^{jl} = sum_k sigma^j_k sigma^l_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .expr import (
@@ -110,15 +110,13 @@ class DriftCorrection:
     rho: Vector
 
 
-def ito_laplacian(u: Expr, sys) -> Expr:
+def ito_laplacian(u: Expr, sigma: Matrix, ctx: Context) -> Expr:
     """Second-order operator from the Ito rule:
 
     Delta u = sum_k u_{w^k w^k}
             + sum_{j,l} (sigma sigma^T)^{jl} u_{x^j x^l}
             + 2 sum_{j,k} sigma^j_k u_{x^j w^k}
     """
-    ctx = sys.ctx
-    sigma = sys.sigma
     pieces = []
     for k in range(1, ctx.m + 1):
         pieces.append(differentiate(differentiate(u, wiener(k)), wiener(k)))
@@ -200,17 +198,22 @@ def sigma_rank_info(sys, box=None, points: int = 8, seed: int = 0) -> dict:
     }
 
 
-def transport_operator(u: Expr, sys: ItoSystem) -> Expr:
-    """L0 = d/dt + f^j d/dx^j + (1/2) Delta"""
+def transport_operator(u: Expr, sys) -> Expr:
+    """L0 = d/dt + f^j d/dx^j + (1/2) Delta for an Ito system, and
+    L0 = d/dt + b^j d/dx^j for a Stratonovich one (chain rule, no
+    second-order term)."""
+    ito = isinstance(sys, ItoSystem)
+    drift = sys.f if ito else sys.b
     pieces = [differentiate(u, TIME)]
     for j in range(1, sys.ctx.n + 1):
-        pieces.append(mul(sys.f[j - 1], differentiate(u, state(j))))
-    pieces.append(mul(HALF, ito_laplacian(u, sys)))
+        pieces.append(mul(drift[j - 1], differentiate(u, state(j))))
+    if ito:
+        pieces.append(mul(HALF, ito_laplacian(u, sys.sigma, sys.ctx)))
     return simplify(add(*pieces))
 
 
-def shift_operator(u: Expr, sys: ItoSystem, k: int) -> Expr:
-    """L_k = d/dw^k + sigma^j_k d/dx^j"""
+def shift_operator(u: Expr, sys, k: int) -> Expr:
+    """L_k = d/dw^k + sigma^j_k d/dx^j, the same in both calculi."""
     if not 1 <= k <= sys.ctx.m:
         raise ModelError(f"wiener index {k} outside 1..{sys.ctx.m}")
     pieces = [differentiate(u, wiener(k))]

@@ -2,12 +2,20 @@
 
 A candidate is a vector field
 
-    X = phi^i d/dx^i + tau d/dt + (noise part) d/dw^k
+    X = phi^i d/dx^i + tau d/dt + h^k d/dw^k
 
-where the noise part is absent (standard fields), a general h^k(x,t,w)
+where the noise part h is absent (standard fields), a general h^k(x,t,w)
 (kept for analysis), or a constant linear action h = R w on the Wiener
-sector.  Verification evaluates the determining-equation residuals of the
-chosen calculus and zero-tests them.
+sector.  Verification zero-tests the residuals of the determining
+equations, one system in operator form for both calculi:
+
+    L0 phi^i - X(f^i)        = sigma^i_k L0 h^k
+    L_k phi^i - X(sigma^i_k) = sigma^i_m L_k h^m
+
+L0 is the transport operator of the system's calculus (the Ito one carries
+(1/2) Delta, the Stratonovich one reads the drift b and has no second-order
+term) and L_k the shift operator (see ``sde``).  Standard fields are the
+case h = 0; h = R w makes the right-hand sides 0 and sigma^i_m R^m_k.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .expr import (
     differentiate,
     free_vars,
     is_identically_zero,
+    is_structural_zero,
     mul,
     simplify,
     state,
@@ -41,7 +50,7 @@ from .expr import (
     wiener,
 )
 from .expr.evaluate import EvaluationError, Kernel
-from .sde import ItoSystem, StratSystem, ito_laplacian, ito_to_strat
+from .sde import ItoSystem, StratSystem, ito_to_strat, shift_operator, transport_operator
 
 Vector = Tuple[Expr, ...]
 
@@ -117,17 +126,12 @@ class VectorField:
     def apply(self, u: Expr) -> Expr:
         """X(u) as a first-order differential operator."""
         pieces = [mul(p, differentiate(u, state(i + 1))) for i, p in enumerate(self.phi)]
-        if not _is_zero_expr(self.tau):
+        if not is_structural_zero(self.tau):
             pieces.append(mul(self.tau, differentiate(u, TIME)))
         for k, h in enumerate(self.noise_exprs()):
-            if not _is_zero_expr(h):
+            if not is_structural_zero(h):
                 pieces.append(mul(h, differentiate(u, wiener(k + 1))))
         return simplify(add(*pieces))
-
-
-def _is_zero_expr(e: Expr) -> bool:
-    s = simplify(e)
-    return isinstance(s, Const) and s.value == 0
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +247,7 @@ def classify(X: VectorField, sys, config: Optional[ZeroTestConfig] = None) -> Cl
         for v in free_vars(simplify(component))
     )
     noise_exprs = X.noise_exprs()
-    w_acting = any(not _is_zero_expr(h) for h in noise_exprs)
+    w_acting = any(not is_structural_zero(h) for h in noise_exprs)
 
     reasons: List[str] = []
     admissible = True
@@ -335,101 +339,78 @@ class SymmetryReport:
         }
 
 
-def _family1_terms(phi: Vector, drift: Vector, ctx: Context) -> List[Expr]:
-    """d_t phi^i + (drift^j d_j phi^i - phi^j d_j drift^i), for each i."""
-    out = []
+def _determining_equations(
+    X: VectorField, sys, family: str, config: Optional[ZeroTestConfig]
+) -> SymmetryReport:
+    """Residuals of the determining equations in the calculus of ``sys``:
+
+        L0 phi^i - X(f^i)          - sigma^i_k L0 h^k  = 0    drift[i]
+        L_k phi^i - X(sigma^i_k)   - sigma^i_m L_k h^m = 0    noise[i,k]
+
+    with f the drift of ``sys`` (b for a Stratonovich system)."""
+    config = config or ZeroTestConfig()
+    ctx = sys.ctx
+    ito = isinstance(sys, ItoSystem)
+    drift = sys.f if ito else sys.b
+    h = X.noise_exprs()
+    transported_h = [transport_operator(hk, sys) for hk in h]
+    shifted_h = [[shift_operator(hm, sys, k) for hm in h] for k in range(1, ctx.m + 1)]
+    labeled = []
     for i in range(ctx.n):
-        pieces = [differentiate(phi[i], TIME)]
-        for j in range(ctx.n):
-            pieces.append(mul(drift[j], differentiate(phi[i], state(j + 1))))
-            pieces.append(Neg(mul(phi[j], differentiate(drift[i], state(j + 1)))))
-        out.append(add(*pieces))
-    return out
-
-
-def _family2_residual(phi: Vector, sigma, ctx: Context, i: int, k: int) -> Expr:
-    """d_{w^k} phi^i + sigma^j_k d_j phi^i - phi^j d_j sigma^i_k"""
-    pieces = [differentiate(phi[i], wiener(k + 1))]
-    for j in range(ctx.n):
-        pieces.append(mul(sigma[j][k], differentiate(phi[i], state(j + 1))))
-        pieces.append(Neg(mul(phi[j], differentiate(sigma[i][k], state(j + 1)))))
-    return add(*pieces)
-
-
-def _report(calculus, family, labeled, ctx, config) -> SymmetryReport:
+        expr = add(
+            transport_operator(X.phi[i], sys),
+            Neg(X.apply(drift[i])),
+            *(Neg(mul(sys.sigma[i][k], transported_h[k])) for k in range(ctx.m)),
+        )
+        labeled.append((f"drift[{i+1}]", expr))
+    for i in range(ctx.n):
+        for k in range(ctx.m):
+            expr = add(
+                shift_operator(X.phi[i], sys, k + 1),
+                Neg(X.apply(sys.sigma[i][k])),
+                *(Neg(mul(sys.sigma[i][m], shifted_h[k][m])) for m in range(ctx.m)),
+            )
+            labeled.append((f"noise[{i+1},{k+1}]", expr))
     entries = [
         ResidualEntry(label, simplify(expr), is_identically_zero(expr, ctx, config))
         for label, expr in labeled
     ]
-    return SymmetryReport(calculus, family, entries, config.tol)
+    return SymmetryReport("ito" if ito else "stratonovich", family, entries, config.tol)
+
+
+def _require_standard(X: VectorField):
+    if X.noise is not None and any(not is_structural_zero(h) for h in X.noise_exprs()):
+        raise SymmetryError("standard symmetries do not act on the Wiener variables")
+    if not is_structural_zero(X.tau):
+        raise SymmetryError(
+            "only simple candidates (tau = 0) are verified here: reduction and "
+            "integration use simple symmetries only, and fields acting on time "
+            "are outside this determining system"
+        )
 
 
 def residual_standard_ito(
     X: VectorField, sys: ItoSystem, config: Optional[ZeroTestConfig] = None
 ) -> SymmetryReport:
-    """Determining equations for simple standard (deterministic or random)
-    symmetries of an Ito system:
-
-        d_t phi^i + f^j d_j phi^i - phi^j d_j f^i + (1/2) Delta phi^i = 0
-        d_{w^k} phi^i + sigma^j_k d_j phi^i - phi^j d_j sigma^i_k   = 0
-    """
-    config = config or ZeroTestConfig()
-    if X.noise is not None and any(not _is_zero_expr(h) for h in X.noise_exprs()):
-        raise SymmetryError("standard symmetries do not act on the Wiener variables")
-    if not _is_zero_expr(X.tau):
-        raise SymmetryError(
-            "only simple candidates (tau = 0) are verified here: reduction and "
-            "integration use simple symmetries only, and fields acting on time "
-            "are outside this determining system"
-        )
-    ctx = sys.ctx
-    labeled = []
-    for i, fam1 in enumerate(_family1_terms(X.phi, sys.f, ctx)):
-        expr = add(fam1, mul(HALF, ito_laplacian(X.phi[i], sys)))
-        labeled.append((f"drift[{i+1}]", expr))
-    for i in range(ctx.n):
-        for k in range(ctx.m):
-            labeled.append(
-                (f"noise[{i+1},{k+1}]", _family2_residual(X.phi, sys.sigma, ctx, i, k))
-            )
-    return _report("ito", "standard", labeled, ctx, config)
+    """Simple standard (deterministic or random) symmetries of an Ito system:
+    the determining equations with h = 0, L0 carrying (1/2) Delta."""
+    _require_standard(X)
+    return _determining_equations(X, sys, "standard", config)
 
 
 def residual_standard_strat(
     X: VectorField, sys: StratSystem, config: Optional[ZeroTestConfig] = None
 ) -> SymmetryReport:
-    """Determining equations for simple standard symmetries of a
-    Stratonovich system (chain-rule calculus, no second-order term):
-
-        d_t phi^i + b^j d_j phi^i - phi^j d_j b^i = 0
-        d_{w^k} phi^i + sigma^j_k d_j phi^i - phi^j d_j sigma^i_k = 0
-    """
-    config = config or ZeroTestConfig()
-    if X.noise is not None and any(not _is_zero_expr(h) for h in X.noise_exprs()):
-        raise SymmetryError("standard symmetries do not act on the Wiener variables")
-    if not _is_zero_expr(X.tau):
-        raise SymmetryError(
-            "only simple candidates (tau = 0) are verified here: reduction and "
-            "integration use simple symmetries only, and fields acting on time "
-            "are outside this determining system"
-        )
-    ctx = sys.ctx
-    labeled = [
-        (f"drift[{i+1}]", fam1)
-        for i, fam1 in enumerate(_family1_terms(X.phi, sys.b, ctx))
-    ]
-    for i in range(ctx.n):
-        for k in range(ctx.m):
-            labeled.append(
-                (f"noise[{i+1},{k+1}]", _family2_residual(X.phi, sys.sigma, ctx, i, k))
-            )
-    return _report("stratonovich", "standard", labeled, ctx, config)
+    """Simple standard symmetries of a Stratonovich system: the determining
+    equations with h = 0 and the chain-rule L0 (no second-order term)."""
+    _require_standard(X)
+    return _determining_equations(X, sys, "standard", config)
 
 
 def _require_w_candidate(X: VectorField, force: bool):
     if X.noise is None:
         raise SymmetryError("candidate has no Wiener-sector component")
-    if not _is_zero_expr(X.tau):
+    if not is_structural_zero(X.tau):
         raise SymmetryError("Wiener-acting candidates must be simple (tau = 0)")
     if isinstance(X.noise, LinearW) and not force:
         verdict = conformal_check(X.noise.matrix)
@@ -446,39 +427,11 @@ def residual_W_ito(
     config: Optional[ZeroTestConfig] = None,
     force: bool = False,
 ) -> SymmetryReport:
-    """Determining equations for Wiener-acting symmetries of an Ito system.
-
-    Linear case (h = R w):
-        d_t phi^i + (f^j d_j phi^i - phi^j d_j f^i) + (1/2) Delta phi^i = 0
-        d_{w^k} phi^i + (sigma^j_k d_j phi^i - phi^j d_j sigma^i_k)
-            - sigma^i_m R^m_k = 0
-
-    General h keeps the full right-hand sides:
-        ... = sigma^i_k (d_t h^k + f^j d_j h^k + (1/2) Delta h^k)
-        ... = sigma^i_m (d_{w^k} h^m + sigma^j_k d_j h^m)
-    """
-    config = config or ZeroTestConfig()
+    """Wiener-acting symmetries of an Ito system (h = R w, or a general h
+    kept for analysis).  A conformally rejected R raises unless ``force``."""
     _require_w_candidate(X, force)
-    ctx = sys.ctx
-    h = X.noise_exprs()
-    linear = isinstance(X.noise, LinearW)
-    labeled = []
-    for i, fam1 in enumerate(_family1_terms(X.phi, sys.f, ctx)):
-        expr = add(fam1, mul(HALF, ito_laplacian(X.phi[i], sys)))
-        if not linear:
-            for k in range(ctx.m):
-                transport = add(
-                    differentiate(h[k], TIME),
-                    *(
-                        mul(sys.f[j], differentiate(h[k], state(j + 1)))
-                        for j in range(ctx.n)
-                    ),
-                    mul(HALF, ito_laplacian(h[k], sys)),
-                )
-                expr = add(expr, Neg(mul(sys.sigma[i][k], transport)))
-        labeled.append((f"drift[{i+1}]", expr))
-    labeled.extend(_w_noise_family(X, sys.sigma, ctx))
-    return _report("ito", "linear_w" if linear else "general_h", labeled, ctx, config)
+    family = "linear_w" if isinstance(X.noise, LinearW) else "general_h"
+    return _determining_equations(X, sys, family, config)
 
 
 def residual_W_strat(
@@ -487,62 +440,11 @@ def residual_W_strat(
     config: Optional[ZeroTestConfig] = None,
     force: bool = False,
 ) -> SymmetryReport:
-    """Determining equations for Wiener-acting symmetries of a Stratonovich
-    system; the noise family coincides with the Ito one, the drift family
-    has no second-order term:
-
-        d_t phi^i + (b^j d_j phi^i - phi^j d_j b^i) = 0            (h = R w)
-        ... = sigma^i_k (d_t h^k + b^j d_j h^k)                    (general h)
-    """
-    config = config or ZeroTestConfig()
+    """Wiener-acting symmetries of a Stratonovich system; the noise family
+    coincides with the Ito one, the drift family has no second-order term."""
     _require_w_candidate(X, force)
-    ctx = sys.ctx
-    h = X.noise_exprs()
-    linear = isinstance(X.noise, LinearW)
-    labeled = []
-    for i, fam1 in enumerate(_family1_terms(X.phi, sys.b, ctx)):
-        expr = fam1
-        if not linear:
-            for k in range(ctx.m):
-                transport = add(
-                    differentiate(h[k], TIME),
-                    *(
-                        mul(sys.b[j], differentiate(h[k], state(j + 1)))
-                        for j in range(ctx.n)
-                    ),
-                )
-                expr = add(expr, Neg(mul(sys.sigma[i][k], transport)))
-        labeled.append((f"drift[{i+1}]", expr))
-    labeled.extend(_w_noise_family(X, sys.sigma, ctx))
-    return _report("stratonovich", "linear_w" if linear else "general_h", labeled, ctx, config)
-
-
-def _w_noise_family(X: VectorField, sigma, ctx: Context):
-    """Noise-sector family, shared verbatim by both calculi."""
-    h = X.noise_exprs()
-    linear = isinstance(X.noise, LinearW)
-    labeled = []
-    for i in range(ctx.n):
-        for k in range(ctx.m):
-            expr = _family2_residual(X.phi, sigma, ctx, i, k)
-            if linear:
-                R = X.noise.entries
-                expr = add(
-                    expr,
-                    Neg(add(*(mul(sigma[i][m], Const(R[m][k])) for m in range(ctx.m)))),
-                )
-            else:
-                for m in range(ctx.m):
-                    inner = add(
-                        differentiate(h[m], wiener(k + 1)),
-                        *(
-                            mul(sigma[j][k], differentiate(h[m], state(j + 1)))
-                            for j in range(ctx.n)
-                        ),
-                    )
-                    expr = add(expr, Neg(mul(sigma[i][m], inner)))
-            labeled.append((f"noise[{i+1},{k+1}]", expr))
-    return labeled
+    family = "linear_w" if isinstance(X.noise, LinearW) else "general_h"
+    return _determining_equations(X, sys, family, config)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +623,7 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """
     if X.ctx != Y.ctx:
         raise SymmetryError("fields live over different contexts")
-    if not (_is_zero_expr(X.tau) and _is_zero_expr(Y.tau)):
+    if not (is_structural_zero(X.tau) and is_structural_zero(Y.tau)):
         raise SymmetryError("lie_bracket is defined for simple fields")
     both_none = X.noise is None and Y.noise is None
     both_linear = isinstance(X.noise, LinearW) and isinstance(Y.noise, LinearW)

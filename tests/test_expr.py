@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.special import expi
+from scipy.stats import qmc
 
 from sdesym.expr import (
     Apply,
@@ -39,6 +40,7 @@ from sdesym.expr import (
     TIME,
 )
 from sdesym.expr.evaluate import eval_magnitude
+from sdesym.expr.zerotest import _sample_points
 from treegen import oracle_cases, random_tree, sample_point
 
 CTX = Context(n=2, m=2)
@@ -453,3 +455,14 @@ def test_zero_test_samples_unbound_params():
     assert v.is_zero
     w = is_identically_zero(parse("(q + 1)^2 - q^2", SCALAR), SCALAR)
     assert w.is_nonzero
+
+
+def test_sample_points_built_once():
+    # the Sobol set of a (dimension, count, seed) key is built once and shared
+    # read-only by every zero test that asks for it
+    points = _sample_points(3, 64, 5)
+    assert _sample_points(3, 64, 5) is points
+    assert not points.flags.writeable
+    np.testing.assert_array_equal(points, qmc.Sobol(d=3, scramble=True, seed=5).random(64))
+    with pytest.raises(ValueError):
+        points[0, 0] = 0.5

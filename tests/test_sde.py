@@ -54,7 +54,7 @@ def test_construction_checks_dimensions():
 
 def test_laplacian_of_constant_is_zero():
     sys_ = scalar_system("lam*x", "mu")
-    assert ito_laplacian(Const(3), sys_) == ZERO
+    assert ito_laplacian(Const(3), sys_.sigma, sys_.ctx) == ZERO
 
 
 def test_laplacian_of_linear_wiener_monomial_is_zero():
@@ -66,14 +66,14 @@ def test_laplacian_of_linear_wiener_monomial_is_zero():
         ((ONE, ZERO), (ZERO, ONE)),
     )
     h = parse("2*w1 - 3*w2", ctx)
-    assert ito_laplacian(h, sys_) == ZERO
+    assert ito_laplacian(h, sys_.sigma, sys_.ctx) == ZERO
 
 
 def test_laplacian_cancels_on_exponential_difference():
     # with sigma = 1 the three second-order pieces cancel on e^(x-w):
     # e^(x-w) + e^(x-w) - 2 e^(x-w) = 0
     sys_ = scalar_system("exp(x)", "1")
-    assert ito_laplacian(parse("exp(x-w)", SCALAR), sys_) == ZERO
+    assert ito_laplacian(parse("exp(x-w)", SCALAR), sys_.sigma, sys_.ctx) == ZERO
 
 
 def test_drift_correction_constant_sigma_vanishes():
@@ -152,11 +152,12 @@ def test_laplacian_linearity_on_random_trees():
     for _ in range(10):
         u = random_tree(rng, ctx, 3)
         v = random_tree(rng, ctx, 3)
-        lhs = ito_laplacian(simplify(add(mul(Const(2), u), mul(Const(-3), v))), sys_)
+        combination = simplify(add(mul(Const(2), u), mul(Const(-3), v)))
+        lhs = ito_laplacian(combination, sys_.sigma, sys_.ctx)
         rhs = simplify(
             add(
-                mul(Const(2), ito_laplacian(u, sys_)),
-                mul(Const(-3), ito_laplacian(v, sys_)),
+                mul(Const(2), ito_laplacian(u, sys_.sigma, sys_.ctx)),
+                mul(Const(-3), ito_laplacian(v, sys_.sigma, sys_.ctx)),
             )
         )
         assert expressions_equal(lhs, rhs, ctx).is_zero
@@ -171,6 +172,18 @@ def test_transport_and_shift_operators():
     assert is_identically_zero(shift_operator(u, sys_, 1), sys_.ctx).is_zero
     with pytest.raises(ModelError):
         shift_operator(u, sys_, 2)
+
+
+def test_transport_operator_follows_the_calculus():
+    # dx = lam x dt + mu x dw:  L0(x^2) = 2 lam x^2 + mu^2 x^2 under Ito,
+    # and 2 lam x^2 for the Stratonovich system with the same coefficients
+    ctx = Context(n=1, m=1)
+    f, sigma = (parse("lam*x", ctx),), ((parse("mu*x", ctx),),)
+    u = parse("x^2", ctx)
+    ito = transport_operator(u, ItoSystem(ctx, f, sigma))
+    strat = transport_operator(u, StratSystem(ctx, f, sigma))
+    assert expressions_equal(ito, parse("2*lam*x^2 + mu^2*x^2", ctx), ctx).is_zero
+    assert strat == simplify(parse("2*lam*x^2", ctx))
 
 
 def test_sigma_rank_info():

@@ -1,7 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sdesym.cli import bundled_model
+from sdesym.cli import bundled_model, model_dir
 from sdesym.expr import (
     Const,
     Context,
@@ -17,10 +20,11 @@ from sdesym.expr import (
     parse,
     simplify,
     state,
+    to_string,
     wiener,
 )
 from sdesym.modelfile import load_model
-from sdesym.sde import ItoSystem, ito_to_strat
+from sdesym.sde import ItoSystem, ito_to_strat, strat_to_ito
 from sdesym.symmetry import (
     GeneralH,
     LinearW,
@@ -39,6 +43,7 @@ from sdesym.symmetry import (
     sigma_operator,
     solvability_check,
 )
+from treegen import random_tree
 
 SCALAR = Context(n=1, m=1)
 
@@ -473,3 +478,86 @@ def test_counterexample_quadratic_w_any_R():
     for R in (0.5, 1.0, -2.0):
         X = VectorField(b.ctx, (parse("x*w^2", b.ctx),), noise=LinearW.from_matrix([[R]]))
         assert residual_W_ito(X, b.system).verdict == "not_symmetry"
+
+
+# ---------------------------------------------------------------------------
+# recorded residuals
+
+
+RESIDUAL_ORACLE = json.loads((Path(__file__).parent / "residual_oracle.json").read_text())
+BUNDLED = sorted(p.stem for p in model_dir().glob("*.model"))
+
+
+def general_h_fields(seed: int, count: int):
+    """``count`` general-h fields with depth-3 random components, cycling over
+    the bundled models: (model name, bundle, field)."""
+    rng = np.random.default_rng(seed)
+    for j in range(count):
+        name = BUNDLED[j % len(BUNDLED)]
+        b = bundle(name)
+        ctx = b.ctx
+        phi = tuple(random_tree(rng, ctx, 3) for _ in range(ctx.n))
+        h = tuple(random_tree(rng, ctx, 3) for _ in range(ctx.m))
+        yield name, b, VectorField(ctx, phi, ZERO, GeneralH(h))
+
+
+def residual_records(seed: int, count: int):
+    """The printed residual and the verdict's counts, for every bundled
+    (model, field) pair and for the general-h fields, in both calculi; a
+    candidate a calculus refuses records the error instead."""
+    cases = [
+        (f"{name}/{field}", b, X)
+        for name in BUNDLED
+        for b in [bundle(name)]
+        for field, X in b.vectorfields.items()
+    ]
+    cases += [
+        (f"{name}/general_h[{j}]", b, X)
+        for j, (name, b, X) in enumerate(general_h_fields(seed, count))
+    ]
+    for key, b, X in cases:
+        if b.system_type == "ito":
+            systems = (b.system, ito_to_strat(b.system))
+        else:
+            systems = (strat_to_ito(b.system), b.system)
+        config = ZeroTestConfig(box=b.box)
+        record = {
+            "case": key,
+            "phi": [to_string(e) for e in X.phi],
+            "h": [to_string(e) for e in X.noise_exprs()],
+        }
+        for calculus, sys_ in zip(("ito", "stratonovich"), systems):
+            try:
+                if X.noise is None:
+                    residual = residual_standard_ito if calculus == "ito" else residual_standard_strat
+                    report = residual(X, sys_, config)
+                else:
+                    residual = residual_W_ito if calculus == "ito" else residual_W_strat
+                    report = residual(X, sys_, config, force=True)
+            except SymmetryError as err:
+                record[calculus] = {"error": str(err)}
+                continue
+            record[calculus] = {
+                "family": report.family,
+                "entries": [
+                    {
+                        "label": e.label,
+                        "residual": to_string(e.expr),
+                        "status": e.verdict.status,
+                        "mode": e.verdict.mode,
+                        "points_evaluated": e.verdict.points_evaluated,
+                        "failures": e.verdict.failures,
+                    }
+                    for e in report.entries
+                ],
+            }
+        yield record
+
+
+def test_residuals_match_recorded_oracle():
+    # residual_oracle.json holds the determining-equation residuals of the
+    # per-calculus residual builders that the operator form replaced; the
+    # printed fields guard against a change in how treegen regenerates them
+    records = residual_records(RESIDUAL_ORACLE["seed"], RESIDUAL_ORACLE["count"])
+    for want, got in zip(RESIDUAL_ORACLE["cases"], records, strict=True):
+        assert got == want, want["case"]
