@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from importlib import resources
@@ -88,9 +89,21 @@ def _report_meta(bundle: ModelBundle, args, config: ZeroTestConfig) -> dict:
 
 def _emit(payload: dict, args) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, default=str))
+        print(json.dumps(_finite(payload), indent=2, default=str, allow_nan=False))
     else:
         _print_human(payload)
+
+
+def _finite(value):
+    """``value`` with NaN and infinities as None: they are not JSON (a mean
+    difference over fewer than two kept paths has no standard error)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
 
 
 def _print_human(payload: dict, indent: int = 0) -> None:
@@ -332,7 +345,11 @@ def cmd_simulate(args) -> int:
             bundle.system, x0, T=args.horizon, dt=args.dt,
             n_paths=args.paths, seed=args.seed,
         )
-    stats = mc.ensemble_stats(ens)
+    try:
+        stats = mc.ensemble_stats(ens)
+    except mc.FlowError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     csv_text = stats.to_csv()
     if args.csv_out:
         Path(args.csv_out).write_text(csv_text)
@@ -352,12 +369,9 @@ def cmd_simulate(args) -> int:
         "terminal_var": stats.var[-1].tolist(),
         "terminal_se": stats.se[-1].tolist(),
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        _print_human(payload)
-        if not args.csv_out:
-            print(csv_text, end="")
+    _emit(payload, args)
+    if not args.json and not args.csv_out:
+        print(csv_text, end="")
     return EXIT_OK
 
 
@@ -390,7 +404,7 @@ def cmd_examples(args) -> int:
         "results": [r.to_dict() for r in results],
     }
     if args.json:
-        print(json.dumps(payload, indent=2))
+        _emit(payload, args)
     else:
         width = max(len(r.name) for r in results)
         for r in results:

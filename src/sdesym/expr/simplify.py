@@ -6,6 +6,12 @@ rationals; like terms in flattened sums and like bases in flattened
 products are merged; exponential factors are combined through their
 arguments.  No canonical form is guaranteed, but the output ordering is
 deterministic, so equal inputs simplify to identical trees.
+
+Each rule returns a fixpoint: simplifying its result again changes nothing,
+so one pass suffices and a result is cached as its own simplification.  A
+rule that breaks this must be fixed where it happens, not papered over with
+a second pass; ``scripts/simplify_fixpoint_probe.py`` checks it on
+generated trees.
 """
 
 from __future__ import annotations
@@ -40,11 +46,6 @@ def simplify(e: Expr) -> Expr:
     cached = _cache.get(e)
     if cached is None:
         cached = _simplify(e)
-        for _ in range(8):  # iterate to a fixpoint; rules may enable each other
-            again = _simplify(cached)
-            if again == cached:
-                break
-            cached = again
         _cache[e] = cached
         _cache[cached] = cached
     return cached
@@ -203,6 +204,11 @@ def _simplify_product(factors: List[Expr]) -> Expr:
         flat_out.insert(0, Const(coeff))
     if len(flat_out) == 1:
         return flat_out[0]
+    # merging exponents can leave a bare Sum beside other factors, as in
+    # ((t + 1/2)^(-1)*3)^(-1) -> (1/3)*((1/2) + t); distribute it here
+    expanded = _distribute(flat_out)
+    if expanded is not None:
+        return expanded
     return Product(tuple(flat_out))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdesym.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, main, model_dir
+from sdesym.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, _emit, main, model_dir
 from sdesym.modelfile import ModelFileError, load_model
 
 
@@ -151,6 +152,30 @@ def test_simulate_is_deterministic(capsys):
         "--horizon", "0.1", "--json",
     )
     assert json.loads(out1) == json.loads(out2)
+
+
+def test_simulate_all_paths_excluded_is_a_diagnostic(tmp_path, capsys):
+    # dx = x^3 dt + dw from x0 = 10 blows up on every path
+    model = tmp_path / "cubic.model"
+    model.write_text("[system]\nn = 1\nm = 1\ntype = ito\nf1 = x^3\nsigma_1_1 = 1\n")
+    code, out, err = run(
+        capsys, "simulate", "--model", str(model), "--x0", "10", "--paths", "50",
+        "--horizon", "1", "--dt", "0.01", "--json",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error:" in err and "excluded" in err
+    assert "Traceback" not in err
+
+
+def test_emit_writes_non_finite_floats_as_null(capsys):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = {"se": float("nan"), "bounds": [float("-inf"), 1.5, (float("inf"),)], "n": 3}
+    _emit(payload, argparse.Namespace(json=True))
+    parsed = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert parsed == {"se": None, "bounds": [None, 1.5, [None]], "n": 3}
 
 
 def test_examples_single_case(capsys):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from fractions import Fraction
@@ -41,7 +42,7 @@ from sdesym.expr import (
 )
 from sdesym.expr.evaluate import eval_magnitude
 from sdesym.expr.zerotest import _sample_points
-from treegen import oracle_cases, random_tree, sample_point
+from treegen import oracle_cases, random_tree, sample_point, simplify_cases
 
 CTX = Context(n=2, m=2)
 SCALAR = Context(n=1, m=1)
@@ -193,6 +194,35 @@ def test_simplify_value_preserving_bulk():
                 continue
             assert abs(v0 - v1) <= 1e-12 * (1.0 + mag)
             points += 1
+
+
+SIMPLIFY_ORACLE = json.loads((Path(__file__).parent / "simplify_oracle.json").read_text())
+
+
+def test_simplify_matches_recorded_oracle():
+    # simplify_oracle.json holds the printed output of simplify when it still
+    # iterated passes to a fixpoint, for a treegen corpus and for parsed trees
+    # on which one pass of that version stopped short.  Each corpus input's
+    # printed form guards its regeneration; the x1-derivatives come from
+    # differentiate, which simplifies, so theirs checks simplify as well
+    contexts = tuple(tuple(c) for c in SIMPLIFY_ORACLE["contexts"])
+    trees = list(simplify_cases(SIMPLIFY_ORACLE["seed"], SIMPLIFY_ORACLE["count"], contexts))
+    trees += [parse(case["tree"], Context(*case["context"])) for case in SIMPLIFY_ORACLE["parsed"]]
+    recorded = SIMPLIFY_ORACLE["cases"] + SIMPLIFY_ORACLE["parsed"]
+    want = [(case["tree"], case["simplified"]) for case in recorded]
+    got = [(to_string(e), to_string(simplify(e))) for e in trees]
+    assert len(got) == len(want)
+    assert [g for g, w in zip(got, want) if g != w] == []
+
+
+def test_simplify_output_is_a_one_pass_fixpoint():
+    path = Path(__file__).parents[1] / "scripts" / "simplify_fixpoint_probe.py"
+    spec = importlib.util.spec_from_file_location("simplify_fixpoint_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    passes, changed = probe.probe(seed=12345, trees=2000)
+    assert passes > 2000
+    assert not changed, [to_string(e) for e, _, _ in changed]
 
 
 def test_power_folding_is_integer_only():

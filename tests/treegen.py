@@ -20,6 +20,7 @@ from sdesym.expr import (
     Power,
     Var,
     add,
+    differentiate,
     mul,
     state,
     TIME,
@@ -98,3 +99,21 @@ def oracle_cases(seed: int, count: int, ctx: Context):
         e = random_tree(rng, ctx, 4)
         points = [sample_point(rng, ctx) for _ in range(3)] + [hostile_point(rng, ctx)]
         yield e, points
+
+
+SIMPLIFY_CONTEXTS = ((1, 1), (2, 1), (2, 2), (3, 2))
+
+
+def simplify_cases(seed: int, count: int, contexts=SIMPLIFY_CONTEXTS):
+    """``count`` trees: base trees of depth 3-6, cycling through
+    ``contexts``, each followed by its x1-derivative and by its product and
+    sum with a second tree of the same context."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        ctx = Context(*contexts[(made // 4) % len(contexts)])
+        depth = int(rng.integers(3, 7))
+        e = random_tree(rng, ctx, depth)
+        f = random_tree(rng, ctx, depth)
+        yield from (e, differentiate(e, state(1)), mul(e, f), add(e, f))[: count - made]
+        made += 4
