@@ -13,14 +13,15 @@ import math
 
 import numpy as np
 
-from sdesym.montecarlo import step_normals
+from sdesym.montecarlo import Increments
 
 
 def run(paths: int, seed: int) -> None:
     lam, mu, fine_dt, fine_steps = -1.0, 0.1, 1e-3, 1000
-    fine = np.stack(
-        [step_normals(seed, paths, s, 1, fine_dt)[:, 0] for s in range(fine_steps)]
-    )
+    increments = Increments(seed, paths, 1, fine_dt)
+    fine = np.empty((fine_steps, paths))
+    for s in range(fine_steps):
+        fine[s] = increments.step(s)[:, 0]
 
     def em_mean(factor: int) -> float:
         dt = fine_dt * factor

@@ -558,14 +558,13 @@ def constant_coefficient_deviations(seed: int, s: float) -> Tuple[float, float]:
 def cross_scheme_deviation(seed: int) -> Tuple[float, float, float]:
     """dx = lam x dt + mu x dw (lam = -1, mu = 0.3, x0 = 1, T = 1, dt = 1e-3,
     10^5 paths): Euler-Maruyama on the Ito form against Heun on the
-    converted Stratonovich form, on shared increments.  Returns the
-    terminal-mean difference in SE units, and the Euler-Maruyama terminal
-    mean with its SE."""
+    converted Stratonovich form, stepped in lockstep on one draw of the
+    increments.  Returns the terminal-mean difference in SE units, and the
+    Euler-Maruyama terminal mean with its SE."""
     ctx = Context(n=1, m=1, params={"lam": -1.0, "mu": 0.3})
     sys_i = ItoSystem(ctx, (parse("lam*x", ctx),), ((parse("mu*x", ctx),),))
-    strat = ito_to_strat(sys_i)
-    a = mc.euler_maruyama(sys_i, [1.0], T=1.0, dt=1e-3, n_paths=100000, seed=seed, snapshots=2)
-    b = mc.heun_stratonovich(strat, [1.0], T=1.0, dt=1e-3, n_paths=100000, seed=seed, snapshots=2)
+    runs = [mc.Run(sys_i, "euler_maruyama", [1.0]), mc.Run(ito_to_strat(sys_i), "heun", [1.0])]
+    a, b = mc._simulate(runs, 0.0, 1.0, 1e-3, 100000, seed, snapshots=2)
     include = ~(a.excluded | b.excluded)
     da = a.terminal_states()[include, 0]
     db = b.terminal_states()[include, 0]

@@ -14,13 +14,19 @@ where GOLDEN = 0x9E3779B97F4A7C15 and mix13 is the Stafford variant-13
 SplitMix64 finalizer (z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27;
 z *= 0x94D049BB133111EB; z ^= z>>31).  Normal variates use the inverse
 CDF, so any implementation of this recipe reproduces the same paths.
+
+`Increments` is the recipe's only implementation here; every simulation,
+quadrature and grid draws from it.  Runs that share increments (the two
+ensembles of a symmetry validation, the two halves of a pipeline
+cross-check, a scheme comparison) are stepped in lockstep by one loop,
+`_lockstep`, on one draw per step, so each increment is generated once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg import expm
@@ -48,38 +54,62 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _DIVERGENCE_BOUND = 1e10
 
 
-def _mix13(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
+def _mix13(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The finalizer applied to the uint64 array z in place; ``tmp`` is
+    scratch of the same size.  Returns z."""
+    z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= _M1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
     z *= _M2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
-def _stream_key(seed: int) -> np.uint64:
-    return _mix13(np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ GOLDEN]))[0]
-
-
 def _path_keys(seed: int, n_paths: int) -> np.ndarray:
-    key = _stream_key(seed)
-    paths = np.arange(1, n_paths + 1, dtype=np.uint64)
-    return _mix13(key + GOLDEN * paths)
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ GOLDEN])
+    keys = _mix13(key, np.empty_like(key)) + GOLDEN * np.arange(1, n_paths + 1, dtype=np.uint64)
+    return _mix13(keys, np.empty_like(keys))
 
 
-def _uniforms(path_keys: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """(len(path_keys), len(positions)) uniforms in (0, 1)."""
-    lanes = path_keys[:, None] + GOLDEN * (positions[None, :] + np.uint64(1))
-    bits = _mix13(lanes)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+def _uniforms(path_keys: np.ndarray, positions: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the float64 array ``out`` of shape (len(path_keys), len(positions))
+    with uniforms in (0, 1); ``bits`` is uint64 scratch of that shape.
+    Returns ``out``."""
+    np.add(path_keys[:, None], GOLDEN * (positions + np.uint64(1)), out=bits)
+    _mix13(bits, out.view(np.uint64))  # out is free until the conversion below
+    np.right_shift(bits, np.uint64(11), out=bits)
+    np.copyto(out, bits)
+    out += 0.5
+    out *= 2.0 ** -53
+    return out
+
+
+class Increments:
+    """Brownian increments of (seed, n_paths, m, dt), one time step at a time.
+
+    The path keys are computed once.  ``step(s)`` returns the (n_paths, m)
+    block Delta W of step s in a buffer that the next call overwrites;
+    readers must not write into it."""
+
+    def __init__(self, seed: int, n_paths: int, m: int, dt: float):
+        self.keys = _path_keys(seed, n_paths)
+        self.m = m
+        self.sqrt_dt = math.sqrt(dt)
+        self._components = np.arange(m, dtype=np.uint64)
+        self._bits = np.empty((n_paths, m), dtype=np.uint64)
+        self._block = np.empty((n_paths, m))
+
+    def step(self, s: int) -> np.ndarray:
+        positions = np.uint64(s) * np.uint64(self.m) + self._components
+        u = _uniforms(self.keys, positions, self._bits, self._block)
+        ndtri(u, out=u)
+        u *= self.sqrt_dt
+        return u
 
 
 def step_normals(seed: int, n_paths: int, step: int, m: int, dt: float) -> np.ndarray:
     """Increments Delta W for one time step, shape (n_paths, m)."""
-    keys = _path_keys(seed, n_paths)
-    positions = (np.uint64(step) * np.uint64(m) + np.arange(m, dtype=np.uint64))
-    return ndtri(_uniforms(keys, positions)) * math.sqrt(dt)
+    return Increments(seed, n_paths, m, dt).step(step)
 
 
 @dataclass
@@ -99,9 +129,10 @@ class BrownianGrid:
     @staticmethod
     def generate(seed: int, path_index: int, t0: float, T: float, dt: float, m: int) -> "BrownianGrid":
         steps = int(round((T - t0) / dt))
-        keys = _path_keys(seed, path_index + 1)[path_index : path_index + 1]
-        positions = np.arange(steps * m, dtype=np.uint64)
-        incs = (ndtri(_uniforms(keys, positions)) * math.sqrt(dt)).reshape(steps, m)
+        source = Increments(seed, path_index + 1, m, dt)
+        incs = np.empty((steps, m))
+        for s in range(steps):
+            incs[s] = source.step(s)[path_index]
         w = np.vstack([np.zeros((1, m)), np.cumsum(incs, axis=0)])
         return BrownianGrid(t0, T, dt, steps, m, seed, path_index, incs, w)
 
@@ -146,95 +177,132 @@ def _snapshot_steps(steps: int, snapshots: int) -> np.ndarray:
     return idx
 
 
+def _lockstep(steppers: Sequence, seed: int, n_paths: int, m: int, t0: float, dt: float, steps: int) -> None:
+    """The only time-step loop: draw each step's increments once and advance
+    every stepper on them, in order.  A stepper reads the shared block and
+    never writes into it."""
+    increments = Increments(seed, n_paths, m, dt)
+    with np.errstate(all="ignore"):
+        for s in range(steps):
+            dW = increments.step(s)
+            t = t0 + s * dt
+            for stepper in steppers:
+                stepper.step(s, t, dW)
+
+
+class Run(NamedTuple):
+    """One ensemble of a lockstep set: ``system`` (an ItoSystem for
+    "euler_maruyama", a StratSystem for "heun") advanced from x0 on the
+    shared increments, mapped to dW R^T when ``dw_transform`` R is given."""
+
+    system: Union[ItoSystem, StratSystem]
+    scheme: str
+    x0: Sequence[float]
+    dw_transform: Optional[np.ndarray] = None
+
+
+class _Integrator:
+    """One run's paths and the buffers its steps reuse."""
+
+    def __init__(self, run: Run, t0: float, T: float, dt: float, n_paths: int, seed: int, snapshots: int):
+        if run.scheme not in ("euler_maruyama", "heun"):
+            raise ValueError(f"unknown scheme {run.scheme!r}")
+        ctx = run.system.ctx
+        n, m = ctx.n, ctx.m
+        drift = run.system.f if run.scheme == "euler_maruyama" else run.system.b
+        # one kernel for all coefficients: column i is f_i, column n + i*m + k is sigma_ik
+        coefficients = [*drift, *(run.system.sigma[i][k] for i in range(n) for k in range(m))]
+        self.kernel = Kernel([simplify(e) for e in coefficients], ctx.states() + (TIME,), ctx.params)
+        self.run, self.n, self.m = run, n, m
+        self.t0, self.T, self.dt, self.n_paths, self.seed = t0, T, dt, n_paths, seed
+        self.steps = int(round((T - t0) / dt))
+        self.snap = _snapshot_steps(self.steps, snapshots)
+        self.snap_index = {int(s): i for i, s in enumerate(self.snap)}
+        self.c = np.empty((n_paths, len(coefficients)))
+        self.c_pred = np.empty_like(self.c) if run.scheme == "heun" else None
+        self.x = np.tile(np.asarray(run.x0, dtype=float), (n_paths, 1))
+        self.new_x = np.empty_like(self.x)
+        self.incr = np.empty(n_paths)
+        self.term = np.empty(n_paths)
+        self.magnitude = np.empty_like(self.x)
+        self.ok = np.empty(self.x.shape, dtype=bool)
+        self.alive = np.ones(n_paths, dtype=bool)
+        self.w = np.zeros((n_paths, m))
+        self.states = np.empty((len(self.snap), n_paths, n))
+        self.ws = np.empty((len(self.snap), n_paths, m))
+        if 0 in self.snap_index:
+            self.states[self.snap_index[0]] = self.x
+            self.ws[self.snap_index[0]] = self.w
+
+    def step(self, s: int, t: float, dW: np.ndarray) -> None:
+        n, m, dt = self.n, self.m, self.dt
+        x, new_x, c, incr, term = self.x, self.new_x, self.c, self.incr, self.term
+        if self.run.dw_transform is not None:
+            dW = dW @ self.run.dw_transform.T
+        # Euler-Maruyama step, which is also Heun's predictor
+        self.kernel([*x.T, t], out=c)
+        for i in range(n):
+            np.multiply(c[:, i], dt, out=incr)
+            for k in range(m):
+                incr += np.multiply(c[:, n + i * m + k], dW[:, k], out=term)
+            np.add(x[:, i], incr, out=new_x[:, i])
+        if self.c_pred is not None:
+            c_pred = self.kernel([*new_x.T, t + dt], out=self.c_pred)
+            for i in range(n):
+                np.add(c[:, i], c_pred[:, i], out=incr)
+                incr *= 0.5
+                incr *= dt
+                for k in range(m):
+                    j = n + i * m + k
+                    np.add(c[:, j], c_pred[:, j], out=term)
+                    term *= 0.5
+                    term *= dW[:, k]
+                    incr += term
+                np.add(x[:, i], incr, out=new_x[:, i])
+
+        # also false for NaN and inf
+        np.less(np.abs(new_x, out=self.magnitude), _DIVERGENCE_BOUND, out=self.ok)
+        self.alive &= self.ok.all(axis=1)
+        np.copyto(x, new_x, where=self.alive[:, None])
+        self.w += dW
+        if (s + 1) in self.snap_index:
+            self.states[self.snap_index[s + 1]] = x
+            self.ws[self.snap_index[s + 1]] = self.w
+
+    def ensemble(self) -> Ensemble:
+        return Ensemble(
+            ctx=self.run.system.ctx,
+            scheme=self.run.scheme,
+            t0=self.t0,
+            T=self.T,
+            dt=self.dt,
+            steps=self.steps,
+            n_paths=self.n_paths,
+            seed=self.seed,
+            snap_steps=self.snap,
+            states=self.states,
+            w=self.ws,
+            excluded=~self.alive,
+        )
+
+
 def _simulate(
-    ctx: Context,
-    drift: Sequence[Expr],
-    sigma: Sequence[Sequence[Expr]],
-    x0: Sequence[float],
+    runs: Sequence[Run],
     t0: float,
     T: float,
     dt: float,
     n_paths: int,
     seed: int,
-    scheme: str,
     snapshots: int,
-    dw_transform: Optional[np.ndarray],
-) -> Ensemble:
-    if scheme not in ("euler_maruyama", "heun"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    n, m = ctx.n, ctx.m
-    steps = int(round((T - t0) / dt))
-    snap = _snapshot_steps(steps, snapshots)
-    snap_set = {int(s): i for i, s in enumerate(snap)}
-
-    # one kernel for all coefficients: column i is f_i, column n + i*m + k is sigma_ik
-    coefficients = [*drift, *(sigma[i][k] for i in range(n) for k in range(m))]
-    kernel = Kernel([simplify(e) for e in coefficients], ctx.states() + (TIME,), ctx.params)
-
-    def coefficients_at(x: np.ndarray, t: float) -> np.ndarray:
-        return kernel([*x.T, t], out=np.empty((n_paths, len(coefficients))))
-
-    keys = _path_keys(seed, n_paths)
-    x = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
-    w = np.zeros((n_paths, m))
-    alive = np.ones(n_paths, dtype=bool)
-
-    states = np.empty((len(snap), n_paths, n))
-    ws = np.empty((len(snap), n_paths, m))
-    if 0 in snap_set:
-        states[snap_set[0]] = x
-        ws[snap_set[0]] = w
-
-    sqrt_dt = math.sqrt(dt)
-    with np.errstate(all="ignore"):
-        for s in range(steps):
-            t = t0 + s * dt
-            positions = np.uint64(s) * np.uint64(m) + np.arange(m, dtype=np.uint64)
-            dW = ndtri(_uniforms(keys, positions)) * sqrt_dt
-            if dw_transform is not None:
-                dW = dW @ dw_transform.T
-            # Euler-Maruyama step, which is also Heun's predictor
-            c = coefficients_at(x, t)
-            new_x = x.copy()
-            for i in range(n):
-                incr = c[:, i] * dt
-                for k in range(m):
-                    incr = incr + c[:, n + i * m + k] * dW[:, k]
-                new_x[:, i] = x[:, i] + incr
-            if scheme == "heun":
-                c_pred = coefficients_at(new_x, t + dt)
-                new_x = x.copy()
-                for i in range(n):
-                    incr = 0.5 * (c[:, i] + c_pred[:, i]) * dt
-                    for k in range(m):
-                        j = n + i * m + k
-                        incr = incr + 0.5 * (c[:, j] + c_pred[:, j]) * dW[:, k]
-                    new_x[:, i] = x[:, i] + incr
-
-            ok = np.all(np.isfinite(new_x), axis=1) & (
-                np.max(np.abs(new_x), axis=1) < _DIVERGENCE_BOUND
-            )
-            alive &= ok
-            x = np.where(alive[:, None], new_x, x)
-            w = w + dW
-            if (s + 1) in snap_set:
-                states[snap_set[s + 1]] = x
-                ws[snap_set[s + 1]] = w
-
-    return Ensemble(
-        ctx=ctx,
-        scheme=scheme,
-        t0=t0,
-        T=T,
-        dt=dt,
-        steps=steps,
-        n_paths=n_paths,
-        seed=seed,
-        snap_steps=snap,
-        states=states,
-        w=ws,
-        excluded=~alive,
-    )
+) -> List[Ensemble]:
+    """Advance every run on the increments of (seed, n_paths) in lockstep.
+    Each ensemble equals the one its run gives alone."""
+    m = runs[0].system.ctx.m
+    if any(run.system.ctx.m != m for run in runs):
+        raise ValueError("runs in lockstep must share the number of Wiener processes")
+    integrators = [_Integrator(run, t0, T, dt, n_paths, seed, snapshots) for run in runs]
+    _lockstep(integrators, seed, n_paths, m, t0, dt, integrators[0].steps)
+    return [integrator.ensemble() for integrator in integrators]
 
 
 def euler_maruyama(
@@ -250,10 +318,8 @@ def euler_maruyama(
 ) -> Ensemble:
     """Strong order-1/2 explicit scheme for the Ito interpretation:
     x_{s+1} = x_s + f(x_s, t_s) dt + sigma(x_s, t_s) dW_s."""
-    return _simulate(
-        sys.ctx, sys.f, sys.sigma, x0, t0, T, dt, n_paths, seed,
-        "euler_maruyama", snapshots, dw_transform,
-    )
+    run = Run(sys, "euler_maruyama", x0, dw_transform)
+    return _simulate([run], t0, T, dt, n_paths, seed, snapshots)[0]
 
 
 def heun_stratonovich(
@@ -270,10 +336,8 @@ def heun_stratonovich(
     """Predictor-corrector (midpoint) scheme converging to the Stratonovich
     interpretation; reuses the same Brownian increments as the Ito scheme
     for a given seed."""
-    return _simulate(
-        sys.ctx, sys.b, sys.sigma, x0, t0, T, dt, n_paths, seed,
-        "heun", snapshots, dw_transform,
-    )
+    run = Run(sys, "heun", x0, dw_transform)
+    return _simulate([run], t0, T, dt, n_paths, seed, snapshots)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +556,14 @@ def symmetry_validation(
 
     Ensemble (a): solve from x0 and push every path through the finite map.
     Ensemble (b): solve from the mapped initial point, driving the same
-    Brownian increments through the map's Wiener-sector action.  For exact
+    Brownian increments through the map's Wiener-sector action.  Both are
+    stepped in lockstep on one draw of the increments.  For exact
     linear flows the two are nearly pathwise equal; the verdict compares
     terminal means (in units of the standard error of the difference) and
-    the per-component Kolmogorov-Smirnov statistic.
+    the per-component Kolmogorov-Smirnov statistic.  ``scheme`` is
+    "euler_maruyama" for an ItoSystem or "heun" for a StratSystem; any
+    other name raises ValueError.
     """
-    integrate = euler_maruyama if scheme == "euler_maruyama" else heun_stratonovich
-    base = integrate(sys, x0, t0, T, dt, n_paths, seed, snapshots=2)
-    mapped = apply_group_map(base, X, s)
-
     mapping = flow_map(X, s)
     x0_arr = np.asarray(x0, dtype=float)[None, :]
     x0_mapped, _ = mapping(x0_arr, np.zeros((1, sys.ctx.m)))
@@ -508,10 +571,11 @@ def symmetry_validation(
         dw_transform = expm(s * X.noise.matrix)
     else:
         dw_transform = None
-    direct = integrate(
-        sys, x0_mapped[0], t0, T, dt, n_paths, seed, snapshots=2,
-        dw_transform=dw_transform,
+    base, direct = _simulate(
+        [Run(sys, scheme, x0), Run(sys, scheme, x0_mapped[0], dw_transform)],
+        t0, T, dt, n_paths, seed, snapshots=2,
     )
+    mapped = apply_group_map(base, X, s)
 
     include = ~(mapped.excluded | direct.excluded)
     frac_excluded = 1.0 - float(np.mean(include))
@@ -563,6 +627,39 @@ def evaluate_solution_form(sf: SolutionForm, grid: BrownianGrid, x0: float) -> n
     return x0 + drift_cum + stoch_cum
 
 
+class _Quadrature:
+    """Running sums of a solution form x0 + int F dt + sum_k int S_k dw^k over
+    every path: trapezoidal in time, left-point in w.  Only the sums and the
+    current w are stored."""
+
+    def __init__(self, sf: SolutionForm, t0: float, dt: float, n_paths: int, x0: float):
+        m = sf.ctx.m
+        columns = (TIME,) + sf.ctx.wieners()
+        self.drift = Kernel([sf.drift], columns, sf.ctx.params)
+        self.noises = Kernel(sf.noises[:m], columns, sf.ctx.params)
+        self.m, self.dt, self.n_paths, self.x0 = m, dt, n_paths, x0
+        self.w = np.zeros((n_paths, m))
+        self.drift_sum = np.zeros(n_paths)
+        self.stoch_sum = np.zeros(n_paths)
+        with np.errstate(all="ignore"):
+            self.prev_drift = self.at(self.drift, t0)[:, 0]
+
+    def at(self, kernel: Kernel, t: float) -> np.ndarray:
+        return kernel([t, *self.w.T], out=np.empty((self.n_paths, len(kernel.outputs))))
+
+    def step(self, s: int, t: float, dW: np.ndarray) -> None:
+        noise_vals = self.at(self.noises, t)
+        for k in range(self.m):
+            self.stoch_sum += noise_vals[:, k] * dW[:, k]
+        self.w = self.w + dW
+        new_drift = self.at(self.drift, t + self.dt)[:, 0]
+        self.drift_sum += 0.5 * (self.prev_drift + new_drift) * self.dt
+        self.prev_drift = new_drift
+
+    def terminals(self) -> np.ndarray:
+        return self.x0 + self.drift_sum + self.stoch_sum
+
+
 def solution_form_terminals(
     sf: SolutionForm,
     t0: float,
@@ -576,33 +673,9 @@ def solution_form_terminals(
     that `euler_maruyama` would generate for (seed, n_paths); streamed, so
     nothing but running sums is stored."""
     steps = int(round((T - t0) / dt))
-    keys = _path_keys(seed, n_paths)
-    m = sf.ctx.m
-    w = np.zeros((n_paths, m))
-    drift_sum = np.zeros(n_paths)
-    stoch_sum = np.zeros(n_paths)
-    sqrt_dt = math.sqrt(dt)
-    columns = (TIME,) + sf.ctx.wieners()
-    drift = Kernel([sf.drift], columns, sf.ctx.params)
-    noises = Kernel(sf.noises[:m], columns, sf.ctx.params)
-
-    def at(kernel: Kernel, t: float, wv: np.ndarray) -> np.ndarray:
-        return kernel([t, *wv.T], out=np.empty((n_paths, len(kernel.outputs))))
-
-    with np.errstate(all="ignore"):
-        prev_drift = at(drift, t0, w)[:, 0]
-        for s in range(steps):
-            t = t0 + s * dt
-            positions = np.uint64(s) * np.uint64(m) + np.arange(m, dtype=np.uint64)
-            dW = ndtri(_uniforms(keys, positions)) * sqrt_dt
-            noise_vals = at(noises, t, w)
-            for k in range(m):
-                stoch_sum += noise_vals[:, k] * dW[:, k]
-            w = w + dW
-            new_drift = at(drift, t + dt, w)[:, 0]
-            drift_sum += 0.5 * (prev_drift + new_drift) * dt
-            prev_drift = new_drift
-    return x0 + drift_sum + stoch_sum
+    quadrature = _Quadrature(sf, t0, dt, n_paths, x0)
+    _lockstep([quadrature], seed, n_paths, sf.ctx.m, t0, dt, steps)
+    return quadrature.terminals()
 
 
 @dataclass
@@ -629,9 +702,9 @@ def pipeline_crosscheck(
     """Cross-check a scalar system integrated in its symmetry-adapted
     variable against direct simulation of the system itself.
 
-    The solution form starts from forward(x0) at t = 0 and runs on the
-    Brownian ensemble that `euler_maruyama` draws for (seed, n_paths).  Its
-    terminals are mapped back through ``cov.inverse``, or through the
+    The solution form starts from forward(x0) at t = 0 and is summed in
+    lockstep with the direct Euler-Maruyama run, on one draw of the
+    increments of (seed, n_paths).  Its terminals are mapped back through ``cov.inverse``, or through the
     damped-Newton `numeric_inverse` when no inverse is given.  Paths whose
     map-back is not finite, or that the direct run excluded, are dropped
     from both means."""
@@ -639,8 +712,13 @@ def pipeline_crosscheck(
     start = dict.fromkeys(ctx.all_vars(), 0.0)
     start[state(1)] = x0
     y0 = evaluate(cov.forward[0], start, ctx.params)
-    terminals = solution_form_terminals(form, 0.0, T, dt, n_paths, seed, x0=y0)
-    direct = euler_maruyama(system, [x0], T=T, dt=dt, n_paths=n_paths, seed=seed, snapshots=2)
+    if form.ctx.m != ctx.m:
+        raise ValueError("the solution form and the system differ in the number of Wiener processes")
+    quadrature = _Quadrature(form, 0.0, dt, n_paths, y0)
+    integrator = _Integrator(Run(system, "euler_maruyama", [x0]), 0.0, T, dt, n_paths, seed, snapshots=2)
+    _lockstep([quadrature, integrator], seed, n_paths, ctx.m, 0.0, dt, integrator.steps)
+    terminals = quadrature.terminals()
+    direct = integrator.ensemble()
     w_T = direct.w[-1]
     x_T = direct.terminal_states()[:, 0]
     if cov.inverse is not None:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from sdesym.cli import bundled_model
@@ -9,7 +10,10 @@ from sdesym.expr import Context, ONE, ZERO, parse, state, wiener
 from sdesym.modelfile import load_model
 from sdesym.montecarlo import (
     BrownianGrid,
+    Increments,
+    Run,
     _affine_generator,
+    _simulate,
     apply_group_map,
     ensemble_stats,
     euler_maruyama,
@@ -75,6 +79,82 @@ def test_brownian_grid_matches_ensemble_stream():
     assert np.allclose(grid.w[:, 0], ens.w[:, 1, 0])
 
 
+_MASK = 2**64 - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _reference_mix13(z: int) -> int:
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _reference_increment(seed: int, p: int, s: int, k: int, m: int, dt: float) -> float:
+    """The README recipe in Python integers, one increment at a time."""
+    key = _reference_mix13((seed & _MASK) ^ _GOLDEN)
+    path_key = _reference_mix13((key + _GOLDEN * (p + 1)) & _MASK)
+    v = _reference_mix13((path_key + _GOLDEN * (s * m + k + 1)) & _MASK)
+    return ndtri(((v >> 11) + 0.5) * 2.0**-53) * math.sqrt(dt)
+
+
+def test_increments_match_reference_recipe():
+    # pins the in-place uint64 arithmetic to absolute values, bit for bit
+    dt, n_paths, last = 1e-3, 1000, 317
+    paths = [0, 1, 999]
+    for seed in (0, -1, 2**63 + 5):
+        for m in (1, 2):
+            increments = Increments(seed, n_paths, m, dt)
+            ctx = Context(n=1, m=m)
+            still = ItoSystem(ctx, (ZERO,), ((ZERO,) * m,))
+            ens = euler_maruyama(still, [0.0], T=(last + 1) * dt, dt=dt, n_paths=n_paths,
+                                 seed=seed, snapshots=0)
+            w = np.zeros((len(paths), m))
+            for s in range(last + 1):
+                expected = np.array(
+                    [[_reference_increment(seed, p, s, k, m, dt) for k in range(m)] for p in paths]
+                )
+                w = w + expected
+                if s in (0, last):
+                    assert np.array_equal(increments.step(s)[paths], expected)
+                    assert np.array_equal(step_normals(seed, n_paths, s, m, dt)[paths], expected)
+                    assert np.array_equal(ens.w[s + 1, paths], w)
+
+
+def test_lockstep_runs_equal_separate_runs():
+    geometric = Context(n=1, m=1, params={"lam": -1.0, "mu": 0.3})
+    geo = ItoSystem(geometric, (parse("lam*x", geometric),), ((parse("mu*x", geometric),),))
+    oscillator = bundle("isotropic_oscillator_2d").system
+    angle = 0.7
+    rotation = np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]])
+    scalar = Context(n=1, m=1)
+    explosive = ItoSystem(scalar, (parse("x^3", scalar),), ((parse("x", scalar),),))
+    sets = [
+        ([Run(geo, "euler_maruyama", [1.0]), Run(ito_to_strat(geo), "heun", [1.0])], 0.2, 1e-3),
+        # the transformed run goes first: writing into the shared block would
+        # change the increments of the run after it
+        ([Run(oscillator, "euler_maruyama", [0.5, -0.3], rotation),
+          Run(oscillator, "euler_maruyama", [0.5, -0.3]),
+          Run(ito_to_strat(oscillator), "heun", [0.5, -0.3], rotation)], 0.2, 1e-3),
+        ([Run(explosive, "euler_maruyama", [1.0], np.array([[-1.0]])),
+          Run(explosive, "euler_maruyama", [1.0]),
+          Run(ito_to_strat(explosive), "heun", [1.0])], 0.5, 1e-2),
+    ]
+    excluded = 0
+    for runs, T, dt in sets:
+        together = _simulate(runs, 0.0, T, dt, 300, 17, snapshots=5)
+        for run, ens in zip(runs, together):
+            integrate = euler_maruyama if run.scheme == "euler_maruyama" else heun_stratonovich
+            alone = integrate(run.system, run.x0, T=T, dt=dt, n_paths=300, seed=17,
+                              snapshots=5, dw_transform=run.dw_transform)
+            assert np.array_equal(ens.states, alone.states)
+            assert np.array_equal(ens.w, alone.w)
+            assert np.array_equal(ens.excluded, alone.excluded)
+            excluded += int(ens.excluded.sum())
+    assert excluded > 0
+
+
 # ---------------------------------------------------------------------------
 # integrators
 
@@ -130,9 +210,10 @@ def test_weak_order_one_on_linear_problem():
     ctx = Context(n=1, m=1, params={"lam": -1.0, "mu": 0.1})
     sys_ = ItoSystem(ctx, (parse("lam*x", ctx),), ((parse("mu", ctx),),))
     n_paths, fine_steps = 20000, 1000
-    fine = np.stack(
-        [step_normals(77, n_paths, s, 1, 1e-3)[:, 0] for s in range(fine_steps)]
-    )  # (steps, N) increments at dt = 1e-3
+    increments = Increments(77, n_paths, 1, 1e-3)
+    fine = np.empty((fine_steps, n_paths))  # increments at dt = 1e-3
+    for s in range(fine_steps):
+        fine[s] = increments.step(s)[:, 0]
 
     def em_mean(factor: int) -> float:
         dt = 1e-3 * factor
@@ -288,6 +369,13 @@ def test_validation_fail_for_non_symmetry():
         n_paths=4000, seed=12, scheme="heun",
     )
     assert rep.verdict == "fail"
+
+
+def test_validation_rejects_unknown_scheme():
+    b = bundle("linear_additive")
+    with pytest.raises(ValueError, match="unknown scheme"):
+        symmetry_validation(b.system, b.vectorfields["scaling"], 0.3, [1.0], T=0.01,
+                            n_paths=8, scheme="euler")
 
 
 def test_validation_trivial_at_zero_parameter():
