@@ -5,8 +5,9 @@ calculus), integrate (scalar symmetry-adapted integration with Monte Carlo
 cross-check), reduce (sequential reduction), simulate (path ensembles with
 CSV/JSON output), examples (regression run over the bundled models).
 
-Exit codes: 0 success, 1 usage/parse error, 2 verdict failure in
-``examples``, 3 inconclusive result under --strict.
+Exit codes: 0 success, 1 usage/parse error (argparse rejections and bad
+option values included), 2 verdict failure in ``examples``, 3 inconclusive
+result under --strict.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .sde import ItoSystem, StratSystem, ito_to_strat, strat_to_ito
 from .symmetry import (
     LinearW,
     SymmetryError,
-    agreement_analysis,
     classify,
+    compare_calculi,
     conformal_check,
     residual_standard_ito,
     residual_standard_strat,
@@ -135,6 +136,12 @@ def cmd_check(args) -> int:
     report["meta"]["diffusion_rank"] = sigma_rank_info(
         bundle.system, box=bundle.box, seed=args.seed
     )
+    if bundle.system_type == "ito":
+        ito_sys = bundle.system
+        strat_sys = ito_to_strat(bundle.system)
+    else:
+        strat_sys = bundle.system
+        ito_sys = strat_to_ito(bundle.system)
     worst = EXIT_OK
     for name in names:
         if name not in bundle.vectorfields:
@@ -143,23 +150,18 @@ def cmd_check(args) -> int:
         X = bundle.vectorfields[name]
         entry = {"name": name}
         entry["classification"] = classify(X, bundle.system, config).to_dict()
-        if bundle.system_type == "ito":
-            ito_sys = bundle.system
-            strat_sys = ito_to_strat(bundle.system)
-        else:
-            strat_sys = bundle.system
-            ito_sys = strat_to_ito(bundle.system)
         try:
             if X.noise is None:
                 entry["ito"] = residual_standard_ito(X, ito_sys, config).to_dict()
                 entry["stratonovich"] = residual_standard_strat(X, strat_sys, config).to_dict()
             else:
-                entry["ito"] = residual_W_ito(X, ito_sys, config, force=args.force).to_dict()
-                entry["stratonovich"] = residual_W_strat(
-                    X, strat_sys, config, force=args.force
-                ).to_dict()
+                ito_rep = residual_W_ito(X, ito_sys, config, force=args.force)
+                strat_rep = residual_W_strat(X, strat_sys, config, force=args.force)
+                entry["ito"] = ito_rep.to_dict()
+                entry["stratonovich"] = strat_rep.to_dict()
                 if isinstance(X.noise, LinearW):
-                    entry["agreement"] = agreement_analysis(X, ito_sys, config).to_dict()
+                    agreement = compare_calculi(X, ito_rep, strat_rep, bundle.system, config)
+                    entry["agreement"] = agreement.to_dict()
         except SymmetryError as err:
             entry["error"] = str(err)
         report["fields"].append(entry)
@@ -331,7 +333,7 @@ def cmd_simulate(args) -> int:
         print("error: --paths must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     bundle = _resolve_model(args.model)
-    x0 = [float(v) for v in args.x0_list.split(",")] if args.x0_list else [args.x0] * bundle.ctx.n
+    x0 = args.x0_list or [args.x0] * bundle.ctx.n
     if len(x0) != bundle.ctx.n:
         print(f"error: need {bundle.ctx.n} initial values", file=sys.stderr)
         return EXIT_USAGE
@@ -419,6 +421,23 @@ def cmd_examples(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+def _numbers(text: str) -> List[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdesym",
@@ -435,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         if model:
             p.add_argument("--model", required=True, help="model file path or bundled model name")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9, help="zero-test tolerance")
+        p.add_argument("--tol", type=_positive, default=1e-9, help="zero-test tolerance")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--strict", action="store_true", help="inconclusive results exit 3")
 
@@ -454,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", action="append", required=False)
     p.add_argument("--cov", action="append", help="change-of-variables name or builtin:scaling")
     p.add_argument("--x0", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=_positive, default=1e-3)
     p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--horizon", type=_positive, default=1.0)
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("reduce", help="reduce by one or more symmetries")
@@ -468,10 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate the model and dump statistics")
     common(p)
     p.add_argument("--x0", type=float, default=1.0, help="initial value for every component")
-    p.add_argument("--x0-list", dest="x0_list", help="comma-separated initial state")
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--x0-list", dest="x0_list", type=_numbers, help="comma-separated initial state")
+    p.add_argument("--dt", type=_positive, default=1e-3)
     p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--horizon", type=_positive, default=1.0)
     p.add_argument("--csv-out", dest="csv_out", help="write the t/mean/var/se table here")
     p.set_defaults(func=cmd_simulate)
 
@@ -484,8 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as done:  # argparse exits 0 after --help, 2 on a bad command line
+        return EXIT_OK if done.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
     except (ModelFileError, ExprSyntaxError) as err:

@@ -53,6 +53,7 @@ from .symmetry import (
     VectorField,
     agreement_analysis,
     classify,
+    compare_calculi,
     conformal_check,
     residual_standard_ito,
     residual_standard_strat,
@@ -217,7 +218,7 @@ def case_linear_additive(config: ZeroTestConfig) -> CaseResult:
     X = bundle.vectorfields["scaling"]
     ito_rep = residual_W_ito(X, bundle.system, config)
     strat_rep = residual_W_strat(X, ito_to_strat(bundle.system), config)
-    agree = agreement_analysis(X, bundle.system, config)
+    agree = compare_calculi(X, ito_rep, strat_rep, bundle.system, config)
     ok = (
         ito_rep.verdict == "symmetry"
         and strat_rep.verdict == "symmetry"
@@ -235,7 +236,7 @@ def case_power_noise(config: ZeroTestConfig) -> CaseResult:
     resid_matches = expressions_equal(
         strat_rep.entries[0].expr, target, bundle.ctx, config
     )
-    agree = agreement_analysis(X, bundle.system, config)
+    agree = compare_calculi(X, ito_rep, strat_rep, bundle.system, config)
     ok = (
         ito_rep.verdict == "symmetry"
         and strat_rep.verdict == "not_symmetry"
@@ -333,7 +334,7 @@ def case_nonlinear_rotation(config: ZeroTestConfig) -> CaseResult:
     X = bundle.vectorfields["rotation"]
     ito_rep = residual_W_ito(X, bundle.system, config)
     strat_rep = residual_W_strat(X, ito_to_strat(bundle.system), config)
-    agree = agreement_analysis(X, bundle.system, config)
+    agree = compare_calculi(X, ito_rep, strat_rep, bundle.system, config)
     ok = (
         ito_rep.verdict == "symmetry"
         and strat_rep.verdict == "symmetry"

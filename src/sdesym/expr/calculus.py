@@ -51,7 +51,12 @@ def _chain_factor(fn: str, arg: Expr) -> Expr:
     raise DifferentiationError(f"no derivative rule for {fn!r}")
 
 
-@lru_cache(maxsize=None)
+# One repetition of the `symbolic` benchmark workload caches about 10 600
+# derivatives; the least recently used go first past the cap.
+_DIFF_CACHE_CAP = 25_000
+
+
+@lru_cache(maxsize=_DIFF_CACHE_CAP)
 def differentiate(e: Expr, v: VarId) -> Expr:
     """Exact partial derivative, returned simplified."""
     return simplify(_diff(e, v))

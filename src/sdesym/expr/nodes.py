@@ -207,14 +207,6 @@ class Const(Expr):
     def is_zero(self) -> bool:
         return self.value == 0
 
-    @property
-    def is_one(self) -> bool:
-        return self.value == 1
-
-    @property
-    def is_integer(self) -> bool:
-        return isinstance(self.value, Fraction) and self.value.denominator == 1
-
 
 class Var(Expr):
     __slots__ = ("var",)

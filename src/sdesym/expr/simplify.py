@@ -38,6 +38,10 @@ from .nodes import (
 )
 
 _cache: Dict[Expr, Expr] = {}
+# A process that keeps analysing new systems would otherwise grow _cache
+# without bound; one repetition of the `symbolic` benchmark workload stores
+# about 16 500 entries.
+_CACHE_CAP = 40_000
 
 _EXPAND_CAP = 1024  # max number of terms a product-over-sum expansion may create
 
@@ -46,6 +50,8 @@ def simplify(e: Expr) -> Expr:
     cached = _cache.get(e)
     if cached is None:
         cached = _simplify(e)
+        if len(_cache) >= _CACHE_CAP:
+            _cache.clear()  # every entry is a fixpoint: clearing costs time only
         _cache[e] = cached
         _cache[cached] = cached
     return cached

@@ -156,18 +156,7 @@ class ChangeOfVariables:
         if self.wiener_forward is not None:
             self.wiener_forward = tuple(self.wiener_forward)
         elif self.wiener_map is not None and self.direction == "new_to_old":
-            R = self.wiener_map
-            self.wiener_forward = tuple(
-                simplify(
-                    add(
-                        *(
-                            mul(Const(Fraction(R[k, j])), Var(wiener(j + 1)))
-                            for j in range(self.ctx.m)
-                        )
-                    )
-                )
-                for k in range(self.ctx.m)
-            )
+            self.wiener_forward = LinearW.from_matrix(self.wiener_map).h_exprs()
 
     @property
     def jacobian(self) -> Matrix:
@@ -886,10 +875,7 @@ def pushforward_split_W(X: VectorField, cov: ChangeOfVariables) -> VectorField:
     Rc = cov.wiener_map
     lam = cov.lambda_
     mapping = {state(i + 1): cov.forward[i] for i in range(ctx.n)}
-    for k in range(ctx.m):
-        mapping[wiener(k + 1)] = simplify(
-            add(*(mul(Const(Fraction(Rc[k, j])), Var(wiener(j + 1))) for j in range(ctx.m)))
-        )
+    mapping.update((wiener(k + 1), cov.wiener_forward[k]) for k in range(ctx.m))
     phi = []
     for i in range(ctx.n):
         phi.append(

@@ -325,9 +325,6 @@ class SymmetryReport:
                 }
         return None
 
-    def modes(self) -> List[str]:
-        return [e.verdict.mode for e in self.entries]
-
     def to_dict(self) -> dict:
         return {
             "calculus": self.calculus,
@@ -556,7 +553,25 @@ class AgreementReport:
 def agreement_analysis(
     X: VectorField, sys: ItoSystem, config: Optional[ZeroTestConfig] = None
 ) -> AgreementReport:
-    """Whether an Ito-verdict transfers to the associated Stratonovich system.
+    """Whether an Ito-verdict transfers to the associated Stratonovich system:
+    both reports, computed here, handed to ``compare_calculi``."""
+    config = config or ZeroTestConfig()
+    if not isinstance(X.noise, LinearW):
+        raise SymmetryError("agreement analysis applies to linear Wiener actions")
+    ito_report = residual_W_ito(X, sys, config, force=True)
+    strat_report = residual_W_strat(X, ito_to_strat(sys), config, force=True)
+    return compare_calculi(X, ito_report, strat_report, sys, config)
+
+
+def compare_calculi(
+    X: VectorField,
+    ito_report: SymmetryReport,
+    strat_report: SymmetryReport,
+    sys,
+    config: Optional[ZeroTestConfig] = None,
+) -> AgreementReport:
+    """Compare a linear Wiener-acting candidate's reports in the two calculi
+    of one equation; ``sys`` is either form (only its sigma is read).
 
     Skew Wiener action or spatially constant diffusion guarantee agreement;
     with a dilation part over non-constant diffusion the drift families
@@ -566,8 +581,6 @@ def agreement_analysis(
         raise SymmetryError("agreement analysis applies to linear Wiener actions")
     ctx = sys.ctx
     R = X.noise.matrix
-    ito_report = residual_W_ito(X, sys, config, force=True)
-    strat_report = residual_W_strat(X, ito_to_strat(sys), config, force=True)
     n = ctx.n
     discrepancy = tuple(
         simplify(add(ito_report.entries[i].expr, Neg(strat_report.entries[i].expr)))

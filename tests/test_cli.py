@@ -42,6 +42,22 @@ def test_check_selected_field_and_force(capsys):
     assert entry["ito"]["verdict"] == "symmetry"
 
 
+def test_check_builds_each_calculus_report_once(capsys, monkeypatch):
+    # 4 Wiener-acting fields, one Ito and one Stratonovich report each; the
+    # agreement comparison reuses them instead of building its own pair.
+    from sdesym import symmetry
+
+    builds = []
+    build = symmetry._determining_equations
+    monkeypatch.setattr(
+        symmetry, "_determining_equations", lambda *a, **k: builds.append(1) or build(*a, **k)
+    )
+    code, out, _ = run(capsys, "check", "--model", "isotropic_oscillator_2d", "--force", "--json")
+    assert code == EXIT_OK
+    assert len(json.loads(out)["fields"]) == 4
+    assert len(builds) == 8
+
+
 def test_check_rejected_without_force_reports_error(capsys):
     code, out, _ = run(
         capsys, "check", "--model", "isotropic_oscillator_2d",
@@ -231,6 +247,47 @@ def test_bad_path_count_is_usage_error(capsys, command, paths):
     assert code == EXIT_USAGE
     assert out == ""
     assert "error:" in err and "--paths" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "simulate --x0-list a",
+        "simulate --x0-list 1,,2",
+        "simulate --dt 0",
+        "integrate --field shift --dt 0",
+        "simulate --dt -0.1",
+        "simulate --dt nan",
+        "integrate --field shift --dt inf",
+        "simulate --horizon -1",
+        "integrate --field shift --horizon 0",
+        "check --tol 0",
+        "check --tol nan",
+        "check --tol x",
+    ],
+)
+def test_bad_option_value_is_usage_error(capsys, argv):
+    command, *rest = argv.split()
+    code, out, err = run(capsys, command, "--model", "exp_decay_diffusion", *rest, "--json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error:" in err and rest[-2] in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", ["", "nope", "check", "check --model linear_additive --bogus"]
+)
+def test_rejected_command_line_exits_usage(capsys, argv):
+    code, _, err = run(capsys, *argv.split())
+    assert code == EXIT_USAGE
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run(capsys, "check", "--help")
+    assert code == EXIT_OK
+    assert "--force" in out
 
 
 # Fragments spliced into bundled model files: structure, bad numbers, bad

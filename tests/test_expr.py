@@ -225,6 +225,25 @@ def test_simplify_output_is_a_one_pass_fixpoint():
     assert not changed, [to_string(e) for e, _, _ in changed]
 
 
+def test_symbolic_caches_stay_bounded():
+    # a long-running process that keeps simplifying and differentiating new
+    # expressions must not grow either cache past its cap
+    from sdesym.expr.calculus import _DIFF_CACHE_CAP
+    from sdesym.expr.simplify import _CACHE_CAP, _cache
+
+    largest = 0
+    for i in range(_CACHE_CAP + 100):
+        assert simplify(Const(Fraction(i, 7))) == Const(Fraction(i, 7))
+        largest = max(largest, len(_cache))
+    assert largest <= _CACHE_CAP + 1  # cleared on the miss that finds it full
+    assert simplify(parse("x1 + x1", CTX)) == simplify(parse("2*x1", CTX))
+
+    for i in range(_DIFF_CACHE_CAP + 100):
+        c = Const(Fraction(i, 7))
+        assert differentiate(mul(c, Var(state(1))), state(1)) == c
+    assert differentiate.cache_info().currsize <= _DIFF_CACHE_CAP
+
+
 def test_power_folding_is_integer_only():
     assert simplify(parse("2^3", SCALAR)) == Const(Fraction(8))
     kept = simplify(parse("2^(1/2)", SCALAR))

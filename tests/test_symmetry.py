@@ -32,6 +32,7 @@ from sdesym.symmetry import (
     VectorField,
     agreement_analysis,
     classify,
+    compare_calculi,
     conformal_check,
     dilation_obstruction,
     dilation_obstruction_check,
@@ -338,6 +339,49 @@ def test_scalar_agreement_guaranteed_iff_constant_sigma_or_zero_R():
     assert agreement_analysis(X0, b.system).skew  # R = 0 counts as rotation-only
     lin = bundle("linear_additive")
     assert agreement_analysis(lin.vectorfields["scaling"], lin.system).constant_sigma
+
+
+def _agreement_fields(rep):
+    return (
+        rep.to_dict(),
+        [to_string(d) for d in rep.discrepancy],
+        [to_string(o) for o in rep.obstruction],
+        None
+        if rep.discrepancy_matches_half_obstruction is None
+        else [v.to_dict() for v in rep.discrepancy_matches_half_obstruction],
+    )
+
+
+@pytest.mark.parametrize(
+    "model, name",
+    [
+        ("power_noise", "scaling"),
+        ("linear_additive", "scaling"),
+        ("isotropic_nonlinear_oscillator", "rotation"),
+        ("linear_strat_oscillator", "scaling"),
+    ],
+)
+def test_compare_calculi_on_given_reports_equals_agreement_analysis(model, name):
+    # A Stratonovich model is compared on its own report, never on a round
+    # trip through the Ito form.
+    b = bundle(model)
+    X = b.vectorfields[name]
+    if b.system_type == "ito":
+        ito_sys, strat_sys = b.system, ito_to_strat(b.system)
+    else:
+        ito_sys, strat_sys = strat_to_ito(b.system), b.system
+    given = compare_calculi(
+        X, residual_W_ito(X, ito_sys), residual_W_strat(X, strat_sys), b.system
+    )
+    assert _agreement_fields(given) == _agreement_fields(agreement_analysis(X, ito_sys))
+
+
+def test_compare_calculi_requires_a_linear_action():
+    b = bundle("power_noise")
+    X = VectorField(b.ctx, b.vectorfields["scaling"].phi, noise=GeneralH((ZERO,)))
+    rep = residual_W_ito(X, b.system)
+    with pytest.raises(SymmetryError):
+        compare_calculi(X, rep, rep, b.system)
 
 
 # ---------------------------------------------------------------------------
