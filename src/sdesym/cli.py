@@ -37,7 +37,7 @@ from .reduction import (
     scaling_adapted_cov,
     transform_ito,
 )
-from .sde import ItoSystem, StratSystem, ito_to_strat, strat_to_ito
+from .sde import ItoSystem, other_form
 from .symmetry import (
     LinearW,
     SymmetryError,
@@ -136,12 +136,8 @@ def cmd_check(args) -> int:
     report["meta"]["diffusion_rank"] = sigma_rank_info(
         bundle.system, box=bundle.box, seed=args.seed
     )
-    if bundle.system_type == "ito":
-        ito_sys = bundle.system
-        strat_sys = ito_to_strat(bundle.system)
-    else:
-        strat_sys = bundle.system
-        ito_sys = strat_to_ito(bundle.system)
+    forms = {form.calculus: form for form in (bundle.system, other_form(bundle.system))}
+    ito_sys, strat_sys = forms["ito"], forms["stratonovich"]
     worst = EXIT_OK
     for name in names:
         if name not in bundle.vectorfields:
@@ -180,28 +176,22 @@ def cmd_check(args) -> int:
 
 def cmd_convert(args) -> int:
     bundle = _resolve_model(args.model)
-    if bundle.system_type == "ito":
-        converted = ito_to_strat(bundle.system)
-        text = render_system(converted, "stratonovich")
-    else:
-        converted = strat_to_ito(bundle.system)
-        text = render_system(converted, "ito")
+    converted = other_form(bundle.system)
     if args.json:
-        drift = converted.f if isinstance(converted, ItoSystem) else converted.b
         print(
             json.dumps(
                 {
                     "model": str(bundle.path),
                     "model_sha256": bundle.sha256,
-                    "type": "stratonovich" if bundle.system_type == "ito" else "ito",
-                    "drift": [to_string(e) for e in drift],
+                    "type": converted.calculus,
+                    "drift": [to_string(e) for e in converted.drift],
                     "sigma": [[to_string(e) for e in row] for row in converted.sigma],
                 },
                 indent=2,
             )
         )
     else:
-        print(text, end="")
+        print(render_system(converted), end="")
     return EXIT_OK
 
 
@@ -216,7 +206,7 @@ def cmd_integrate(args) -> int:
         return EXIT_USAGE
     bundle = _resolve_model(args.model)
     config = _config_for(bundle, args)
-    if bundle.system_type != "ito":
+    if bundle.system.calculus != "ito":
         print("error: integrate expects an Ito model", file=sys.stderr)
         return EXIT_USAGE
     sys_ito: ItoSystem = bundle.system
@@ -290,7 +280,7 @@ def _resolve_cov(bundle: ModelBundle, spec: str) -> ChangeOfVariables:
 def cmd_reduce(args) -> int:
     bundle = _resolve_model(args.model)
     config = _config_for(bundle, args)
-    if bundle.system_type != "ito":
+    if bundle.system.calculus != "ito":
         print("error: reduce expects an Ito model", file=sys.stderr)
         return EXIT_USAGE
     if not args.field:
@@ -337,16 +327,8 @@ def cmd_simulate(args) -> int:
     if len(x0) != bundle.ctx.n:
         print(f"error: need {bundle.ctx.n} initial values", file=sys.stderr)
         return EXIT_USAGE
-    if bundle.system_type == "ito":
-        ens = mc.euler_maruyama(
-            bundle.system, x0, T=args.horizon, dt=args.dt,
-            n_paths=args.paths, seed=args.seed,
-        )
-    else:
-        ens = mc.heun_stratonovich(
-            bundle.system, x0, T=args.horizon, dt=args.dt,
-            n_paths=args.paths, seed=args.seed,
-        )
+    integrate = mc.euler_maruyama if bundle.system.calculus == "ito" else mc.heun_stratonovich
+    ens = integrate(bundle.system, x0, T=args.horizon, dt=args.dt, n_paths=args.paths, seed=args.seed)
     try:
         stats = mc.ensemble_stats(ens)
     except mc.FlowError as err:
@@ -450,54 +432,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
-        if model:
-            p.add_argument("--model", required=True, help="model file path or bundled model name")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=_positive, default=1e-9, help="zero-test tolerance")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--strict", action="store_true", help="inconclusive results exit 3")
+    # the flags several subcommands share; each subcommand takes those its handler reads
+    shared = {
+        "--model": dict(required=True, help="model file path or bundled model name"),
+        "--seed": dict(type=int, default=0),
+        "--tol": dict(type=_positive, default=1e-9, help="zero-test tolerance"),
+        "--json": dict(action="store_true", help="emit a JSON report"),
+        "--strict": dict(action="store_true", help="inconclusive results exit 3"),
+    }
 
-    p = sub.add_parser("check", help="classify and verify candidate symmetry fields")
-    common(p)
+    def command(name, func, help, flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags.split():
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("check", cmd_check, "classify and verify candidate symmetry fields",
+                "--model --seed --tol --json --strict")
     p.add_argument("--field", action="append", help="field name (repeatable; default: all)")
     p.add_argument("--force", action="store_true", help="analyze conformally rejected Wiener actions")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("convert", help="convert between Ito and Stratonovich forms")
-    common(p)
-    p.set_defaults(func=cmd_convert)
+    command("convert", cmd_convert, "convert between Ito and Stratonovich forms", "--model --json")
 
-    p = sub.add_parser("integrate", help="scalar symmetry integration with cross-check")
-    common(p)
+    p = command("integrate", cmd_integrate, "scalar symmetry integration with cross-check",
+                "--model --seed --tol --json")
     p.add_argument("--field", action="append", required=False)
     p.add_argument("--cov", action="append", help="change-of-variables name or builtin:scaling")
     p.add_argument("--x0", type=float, default=1.0)
     p.add_argument("--dt", type=_positive, default=1e-3)
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--horizon", type=_positive, default=1.0)
-    p.set_defaults(func=cmd_integrate)
 
-    p = sub.add_parser("reduce", help="reduce by one or more symmetries")
-    common(p)
+    p = command("reduce", cmd_reduce, "reduce by one or more symmetries", "--model --seed --tol --json")
     p.add_argument("--field", action="append", required=False)
     p.add_argument("--cov", action="append", help="cov names, or builtin:scaling / builtin:rotation")
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("simulate", help="simulate the model and dump statistics")
-    common(p)
+    p = command("simulate", cmd_simulate, "simulate the model and dump statistics", "--model --seed --json")
     p.add_argument("--x0", type=float, default=1.0, help="initial value for every component")
     p.add_argument("--x0-list", dest="x0_list", type=_numbers, help="comma-separated initial state")
     p.add_argument("--dt", type=_positive, default=1e-3)
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--horizon", type=_positive, default=1.0)
     p.add_argument("--csv-out", dest="csv_out", help="write the t/mean/var/se table here")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("examples", help="run the bundled regression suite")
-    common(p, model=False)
+    p = command("examples", cmd_examples, "run the bundled regression suite", "--seed --tol --json --strict")
     p.add_argument("--only", help="run a single named case")
-    p.set_defaults(func=cmd_examples)
 
     return parser
 

@@ -483,7 +483,7 @@ def agreement_failure(config: ZeroTestConfig, seed: int) -> Optional[str]:
             return "shared family did not verify"
         if not expressions_equal(rep.discrepancy[0], obstruction, ctx, config).is_zero:
             return f"discrepancy != sigma*sigma_x*R: {to_string(rep.discrepancy[0])}"
-        const_sys = ItoSystem(ctx, sys_i.f, ((Const(Fraction(3, 4)),),))
+        const_sys = ItoSystem(ctx, sys_i.drift, ((Const(Fraction(3, 4)),),))
         a = residual_W_ito(X, const_sys, config, force=True)
         b = residual_W_strat(X, ito_to_strat(const_sys), config, force=True)
         if a.verdict != b.verdict:
@@ -564,7 +564,7 @@ def cross_scheme_deviation(seed: int) -> Tuple[float, float, float]:
     Euler-Maruyama terminal mean with its SE."""
     ctx = Context(n=1, m=1, params={"lam": -1.0, "mu": 0.3})
     sys_i = ItoSystem(ctx, (parse("lam*x", ctx),), ((parse("mu*x", ctx),),))
-    runs = [mc.Run(sys_i, "euler_maruyama", [1.0]), mc.Run(ito_to_strat(sys_i), "heun", [1.0])]
+    runs = [mc.Run(sys_i, [1.0]), mc.Run(ito_to_strat(sys_i), [1.0])]
     a, b = mc._simulate(runs, 0.0, 1.0, 1e-3, 100000, seed, snapshots=2)
     include = ~(a.excluded | b.excluded)
     da = a.terminal_states()[include, 0]
@@ -607,7 +607,7 @@ def stratonovich_control(n_paths: int, seed: int) -> mc.ValidationReport:
     X4 = VectorField(ctx, (parse("x", ctx),), noise=LinearW.from_matrix([[-1.0]]))
     return mc.symmetry_validation(
         ito_to_strat(sys4), X4, 0.5, [1.0], T=1.0, dt=1e-3,
-        n_paths=n_paths, seed=seed, scheme="heun",
+        n_paths=n_paths, seed=seed,
     )
 
 

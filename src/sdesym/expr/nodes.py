@@ -82,15 +82,6 @@ class Context:
             raise ValueError(f"state index {i} outside 1..{self.n}")
         return Var(state(i))
 
-    def w(self, k: int) -> "Var":
-        if not 1 <= k <= self.m:
-            raise ValueError(f"wiener index {k} outside 1..{self.m}")
-        return Var(wiener(k))
-
-    @property
-    def t(self) -> "Var":
-        return Var(TIME)
-
     def states(self) -> Tuple[VarId, ...]:
         return tuple(state(i) for i in range(1, self.n + 1))
 
@@ -202,10 +193,6 @@ class Const(Expr):
 
     def _compute_key(self):
         return (0, 1 if isinstance(self.value, float) else 0, float(self.value), str(self.value))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
 
 
 class Var(Expr):
@@ -373,10 +360,6 @@ MINUS_ONE = Const(Fraction(-1))
 HALF = Const(Fraction(1, 2))
 
 
-def const(value) -> Const:
-    return _coerce(value) if not isinstance(value, Expr) else value
-
-
 def add(*terms) -> Expr:
     """n-ary sum with flattening; 0 terms -> 0, 1 term -> itself."""
     flat = []
@@ -477,6 +460,3 @@ def free_params(e: Expr) -> frozenset:
         return free_params(e.integrand)
     raise TypeError(f"unknown node {e!r}")
 
-
-def depends_on_wiener(e: Expr) -> bool:
-    return any(v.kind is VarKind.WIENER for v in free_vars(e))

@@ -45,7 +45,7 @@ import numpy as np
 
 from .expr import Context, Expr, ExprSyntaxError, SamplingBox, ZERO, parse
 from .reduction import ChangeOfVariables, ReductionError
-from .sde import ItoSystem, ModelError, StratSystem
+from .sde import SYSTEM_TYPES, ModelError, System
 from .symmetry import GeneralH, LinearW, VectorField
 
 
@@ -58,8 +58,7 @@ class ModelBundle:
     path: Optional[Path]
     sha256: str
     ctx: Context
-    system_type: str  # 'ito' | 'stratonovich'
-    system: Union[ItoSystem, StratSystem]
+    system: System
     box: SamplingBox
     vectorfields: Dict[str, VectorField] = field(default_factory=dict)
     covs: Dict[str, ChangeOfVariables] = field(default_factory=dict)
@@ -133,9 +132,9 @@ def load_model(source: Union[str, Path], text: Optional[str] = None) -> ModelBun
 
     n = dimension("n")
     m = dimension("m")
-    system_type = system_section.get("type", "ito").strip().lower()
-    if system_type not in ("ito", "stratonovich"):
-        raise ModelFileError(f"unknown system type {system_type!r}")
+    calculus = system_section.get("type", "ito").strip().lower()
+    if calculus not in SYSTEM_TYPES:
+        raise ModelFileError(f"unknown system type {calculus!r}")
 
     params: Dict[str, float] = {}
     if "params" in cp:
@@ -165,7 +164,7 @@ def load_model(source: Union[str, Path], text: Optional[str] = None) -> ModelBun
         for i in range(1, n + 1)
     )
     try:
-        system = (ItoSystem if system_type == "ito" else StratSystem)(ctx, drift, sigma)
+        system = SYSTEM_TYPES[calculus](ctx, drift, sigma)
     except ModelError as err:
         raise ModelFileError(f"[system] {err}") from None
 
@@ -195,7 +194,7 @@ def load_model(source: Union[str, Path], text: Optional[str] = None) -> ModelBun
         param_overrides=param_overrides,
     )
 
-    bundle = ModelBundle(path, digest, ctx, system_type, system, box)
+    bundle = ModelBundle(path, digest, ctx, system, box)
 
     for section_name in cp.sections():
         if section_name.startswith("vectorfield."):
@@ -240,15 +239,14 @@ def load_model(source: Union[str, Path], text: Optional[str] = None) -> ModelBun
     return bundle
 
 
-def render_system(system: Union[ItoSystem, StratSystem], system_type: str) -> str:
+def render_system(system: System) -> str:
     """Model-file text for a system (used by the conversion command)."""
     from .expr import to_string
 
     ctx = system.ctx
-    drift = system.f if isinstance(system, ItoSystem) else system.b
-    lines = ["[system]", f"n = {ctx.n}", f"m = {ctx.m}", f"type = {system_type}"]
+    lines = ["[system]", f"n = {ctx.n}", f"m = {ctx.m}", f"type = {system.calculus}"]
     for i in range(1, ctx.n + 1):
-        lines.append(f"f{i} = {to_string(drift[i-1])}")
+        lines.append(f"f{i} = {to_string(system.drift[i-1])}")
     for i in range(1, ctx.n + 1):
         for k in range(1, ctx.m + 1):
             lines.append(f"sigma_{i}_{k} = {to_string(system.sigma[i-1][k-1])}")

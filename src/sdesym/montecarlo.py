@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import ndtri
+from scipy.stats import ks_2samp
 
 from .expr import (
     Context,
@@ -45,8 +46,11 @@ from .expr import (
 )
 from .expr.calculus import differentiate
 from .reduction import ChangeOfVariables, ReductionError, SolutionForm, numeric_inverse
-from .sde import ItoSystem, StratSystem
+from .sde import ItoSystem, StratSystem, System
 from .symmetry import LinearW, VectorField
+
+# the integrator of each calculus, by the name ``Ensemble.scheme`` records
+SCHEMES = {"ito": "euler_maruyama", "stratonovich": "heun"}
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -191,12 +195,12 @@ def _lockstep(steppers: Sequence, seed: int, n_paths: int, m: int, t0: float, dt
 
 
 class Run(NamedTuple):
-    """One ensemble of a lockstep set: ``system`` (an ItoSystem for
-    "euler_maruyama", a StratSystem for "heun") advanced from x0 on the
-    shared increments, mapped to dW R^T when ``dw_transform`` R is given."""
+    """One ensemble of a lockstep set: ``system`` advanced from x0 by the
+    scheme of its calculus (Euler-Maruyama for an ItoSystem, Heun for a
+    StratSystem) on the shared increments, mapped to dW R^T when
+    ``dw_transform`` R is given."""
 
-    system: Union[ItoSystem, StratSystem]
-    scheme: str
+    system: System
     x0: Sequence[float]
     dw_transform: Optional[np.ndarray] = None
 
@@ -205,13 +209,10 @@ class _Integrator:
     """One run's paths and the buffers its steps reuse."""
 
     def __init__(self, run: Run, t0: float, T: float, dt: float, n_paths: int, seed: int, snapshots: int):
-        if run.scheme not in ("euler_maruyama", "heun"):
-            raise ValueError(f"unknown scheme {run.scheme!r}")
         ctx = run.system.ctx
         n, m = ctx.n, ctx.m
-        drift = run.system.f if run.scheme == "euler_maruyama" else run.system.b
         # one kernel for all coefficients: column i is f_i, column n + i*m + k is sigma_ik
-        coefficients = [*drift, *(run.system.sigma[i][k] for i in range(n) for k in range(m))]
+        coefficients = [*run.system.drift, *(run.system.sigma[i][k] for i in range(n) for k in range(m))]
         self.kernel = Kernel([simplify(e) for e in coefficients], ctx.states() + (TIME,), ctx.params)
         self.run, self.n, self.m = run, n, m
         self.t0, self.T, self.dt, self.n_paths, self.seed = t0, T, dt, n_paths, seed
@@ -219,7 +220,7 @@ class _Integrator:
         self.snap = _snapshot_steps(self.steps, snapshots)
         self.snap_index = {int(s): i for i, s in enumerate(self.snap)}
         self.c = np.empty((n_paths, len(coefficients)))
-        self.c_pred = np.empty_like(self.c) if run.scheme == "heun" else None
+        self.c_pred = np.empty_like(self.c) if run.system.calculus == "stratonovich" else None
         self.x = np.tile(np.asarray(run.x0, dtype=float), (n_paths, 1))
         self.new_x = np.empty_like(self.x)
         self.incr = np.empty(n_paths)
@@ -272,7 +273,7 @@ class _Integrator:
     def ensemble(self) -> Ensemble:
         return Ensemble(
             ctx=self.run.system.ctx,
-            scheme=self.run.scheme,
+            scheme=SCHEMES[self.run.system.calculus],
             t0=self.t0,
             T=self.T,
             dt=self.dt,
@@ -318,7 +319,8 @@ def euler_maruyama(
 ) -> Ensemble:
     """Strong order-1/2 explicit scheme for the Ito interpretation:
     x_{s+1} = x_s + f(x_s, t_s) dt + sigma(x_s, t_s) dW_s."""
-    run = Run(sys, "euler_maruyama", x0, dw_transform)
+    sys.require("ito", "euler_maruyama")
+    run = Run(sys, x0, dw_transform)
     return _simulate([run], t0, T, dt, n_paths, seed, snapshots)[0]
 
 
@@ -336,7 +338,8 @@ def heun_stratonovich(
     """Predictor-corrector (midpoint) scheme converging to the Stratonovich
     interpretation; reuses the same Brownian increments as the Ito scheme
     for a given seed."""
-    run = Run(sys, "heun", x0, dw_transform)
+    sys.require("stratonovich", "heun_stratonovich")
+    run = Run(sys, x0, dw_transform)
     return _simulate([run], t0, T, dt, n_paths, seed, snapshots)[0]
 
 
@@ -472,16 +475,6 @@ class StatsReport:
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
-    def to_dict(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "mean": self.mean.tolist(),
-            "var": self.var.tolist(),
-            "se": self.se.tolist(),
-            "n_effective": self.n_effective,
-            "excluded_fraction": self.excluded_fraction,
-        }
-
 
 def ensemble_stats(ens: Ensemble) -> StatsReport:
     include = ~ens.excluded
@@ -504,12 +497,7 @@ def ensemble_stats(ens: Ensemble) -> StatsReport:
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    everything = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, everything, side="right") / len(a)
-    cdf_b = np.searchsorted(b, everything, side="right") / len(b)
-    return float(np.max(np.abs(cdf_a - cdf_b)))
+    return float(ks_2samp(a, b, method="asymp").statistic)
 
 
 def ks_threshold(n1: int, n2: int, alpha: float = 1e-3) -> float:
@@ -526,16 +514,6 @@ class ValidationReport:
     excluded_fraction: float
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "mean_sigmas": self.mean_sigmas.tolist(),
-            "ks": self.ks.tolist(),
-            "ks_limit": self.ks_limit,
-            "excluded_fraction": self.excluded_fraction,
-            "detail": self.detail,
-        }
-
 
 def symmetry_validation(
     sys,
@@ -547,7 +525,7 @@ def symmetry_validation(
     dt: float = 1e-3,
     n_paths: int = 10000,
     seed: int = 0,
-    scheme: str = "euler_maruyama",
+    scheme: Optional[str] = None,
     mean_sigma_limit: float = 4.0,
     ks_alpha: float = 1e-3,
     max_excluded: float = 0.05,
@@ -560,10 +538,15 @@ def symmetry_validation(
     stepped in lockstep on one draw of the increments.  For exact
     linear flows the two are nearly pathwise equal; the verdict compares
     terminal means (in units of the standard error of the difference) and
-    the per-component Kolmogorov-Smirnov statistic.  ``scheme`` is
-    "euler_maruyama" for an ItoSystem or "heun" for a StratSystem; any
-    other name raises ValueError.
+    the per-component Kolmogorov-Smirnov statistic.  The scheme follows the
+    calculus of ``sys`` (see `SCHEMES`); a ``scheme`` given must name it,
+    and any other name raises ValueError.
     """
+    if scheme is not None:
+        calculus = {name: calc for calc, name in SCHEMES.items()}.get(scheme)
+        if calculus is None:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        sys.require(calculus, f"scheme {scheme!r}")
     mapping = flow_map(X, s)
     x0_arr = np.asarray(x0, dtype=float)[None, :]
     x0_mapped, _ = mapping(x0_arr, np.zeros((1, sys.ctx.m)))
@@ -572,7 +555,7 @@ def symmetry_validation(
     else:
         dw_transform = None
     base, direct = _simulate(
-        [Run(sys, scheme, x0), Run(sys, scheme, x0_mapped[0], dw_transform)],
+        [Run(sys, x0), Run(sys, x0_mapped[0], dw_transform)],
         t0, T, dt, n_paths, seed, snapshots=2,
     )
     mapped = apply_group_map(base, X, s)
@@ -708,6 +691,7 @@ def pipeline_crosscheck(
     damped-Newton `numeric_inverse` when no inverse is given.  Paths whose
     map-back is not finite, or that the direct run excluded, are dropped
     from both means."""
+    system.require("ito", "pipeline_crosscheck")
     ctx = system.ctx
     start = dict.fromkeys(ctx.all_vars(), 0.0)
     start[state(1)] = x0
@@ -715,7 +699,7 @@ def pipeline_crosscheck(
     if form.ctx.m != ctx.m:
         raise ValueError("the solution form and the system differ in the number of Wiener processes")
     quadrature = _Quadrature(form, 0.0, dt, n_paths, y0)
-    integrator = _Integrator(Run(system, "euler_maruyama", [x0]), 0.0, T, dt, n_paths, seed, snapshots=2)
+    integrator = _Integrator(Run(system, [x0]), 0.0, T, dt, n_paths, seed, snapshots=2)
     _lockstep([quadrature, integrator], seed, n_paths, ctx.m, 0.0, dt, integrator.steps)
     terminals = quadrature.terminals()
     direct = integrator.ensemble()

@@ -49,7 +49,7 @@ from .expr import (
     to_string,
     wiener,
 )
-from .sde import ItoSystem, StratSystem, ito_laplacian, transport_operator, shift_operator
+from .sde import ItoSystem, ito_laplacian, transport_operator, shift_operator
 from .symmetry import (
     LinearW,
     SymmetryError,
@@ -299,13 +299,14 @@ def compatibility_check(
         S gamma_t + S_t gamma = F gamma_w + (1/2)(S gamma_ww + S^2 gamma_yw).
     """
     config = config or ZeroTestConfig()
+    sys.require("ito", "compatibility_check")
     ctx = sys.ctx
     if ctx.n != 1 or ctx.m != 1:
         raise ReductionError("the compatibility relation is a scalar-system check")
     if is_identically_zero(phi, ctx, config).is_zero:
         raise ReductionError("phi vanishes identically on the sampling box")
     y, w = state(1), wiener(1)
-    F, S = sys.f[0], sys.sigma[0][0]
+    F, S = sys.drift[0], sys.sigma[0][0]
     gamma = simplify(differentiate(div(ONE, phi), w))
     lhs = simplify(
         add(mul(S, differentiate(gamma, TIME)), mul(differentiate(S, TIME), gamma))
@@ -348,24 +349,13 @@ class GeneralSDE:
         self.F = tuple(self.F)
         self.S = tuple(tuple(row) for row in self.S)
 
-    def coefficient_driver_dependence(
-        self, config: Optional[ZeroTestConfig] = None
-    ) -> List[ZeroVerdict]:
-        """Zero tests of every d F / d z and d S / d z."""
-        config = config or ZeroTestConfig()
-        out = []
-        for m in range(1, self.ctx.m + 1):
-            for i in range(self.ctx.n):
-                out.append(
-                    is_identically_zero(differentiate(self.F[i], wiener(m)), self.ctx, config)
-                )
-                for k in range(self.ctx.m):
-                    out.append(
-                        is_identically_zero(
-                            differentiate(self.S[i][k], wiener(m)), self.ctx, config
-                        )
-                    )
-        return out
+    def coefficient_dependence(self, var, config: ZeroTestConfig) -> List[ZeroVerdict]:
+        """Zero tests of d/d var of F^i, S^i_1, ..., S^i_m, row by row."""
+        return [
+            is_identically_zero(differentiate(e, var), self.ctx, config)
+            for F_i, S_i in zip(self.F, self.S)
+            for e in (F_i, *S_i)
+        ]
 
     def as_ito_system(self) -> ItoSystem:
         if not self.ito_like:
@@ -469,11 +459,12 @@ def transform_W(
         raise ReductionError("transform_W expects a new_to_old map")
     if cov.wiener_forward is None:
         raise ReductionError("transform_W needs the Wiener-sector map")
+    sys.require("ito", "transform_W")
     ctx = sys.ctx
     Phi = cov.forward
     H = cov.wiener_forward
     mapping = {state(i + 1): Phi[i] for i in range(ctx.n)}
-    f_t = [simplify(subst_many(e, mapping)) for e in sys.f]
+    f_t = [simplify(subst_many(e, mapping)) for e in sys.drift]
     s_t = [[simplify(subst_many(e, mapping)) for e in row] for row in sys.sigma]
 
     # A^i_j = d_j Phi^i - sigma~^i_k d_j H^k
@@ -545,7 +536,9 @@ def transform_W(
         driving="wiener" if cov.wiener_map is not None else "transformed drivers",
         expressed_in="new",
     )
-    dependence = gsde.coefficient_driver_dependence(config)
+    dependence = [
+        v for k in range(1, ctx.m + 1) for v in gsde.coefficient_dependence(wiener(k), config)
+    ]
     gsde.ito_like_detail = dependence
     if any(v.is_nonzero for v in dependence):
         gsde.ito_like = False
@@ -814,19 +807,8 @@ def reduce_step(
         kind, index = "driver", rect.translation_index - ctx.n
         var = wiener(index + 1)
 
-    checks = []
     usable = transformed.expressed_in == "new"
-    if usable:
-        for i in range(ctx.n):
-            checks.append(
-                is_identically_zero(differentiate(transformed.F[i], var), ctx, config)
-            )
-            for k in range(ctx.m):
-                checks.append(
-                    is_identically_zero(
-                        differentiate(transformed.S[i][k], var), ctx, config
-                    )
-                )
+    checks = transformed.coefficient_dependence(var, config) if usable else []
 
     reconstruction = None
     reduced = list(range(ctx.n))
@@ -1015,14 +997,9 @@ def integrate_scalar(
     config = config or ZeroTestConfig()
     if gsde.ctx.n != 1:
         raise ReductionError("direct integration applies to scalar equations")
-    bad = []
-    if not is_identically_zero(differentiate(gsde.F[0], state(1)), gsde.ctx, config).is_zero:
-        bad.append("drift")
-    for k in range(gsde.ctx.m):
-        if not is_identically_zero(
-            differentiate(gsde.S[0][k], state(1)), gsde.ctx, config
-        ).is_zero:
-            bad.append(f"noise[{k+1}]")
+    labels = ["drift"] + [f"noise[{k+1}]" for k in range(gsde.ctx.m)]
+    verdicts = gsde.coefficient_dependence(state(1), config)
+    bad = [label for label, v in zip(labels, verdicts) if not v.is_zero]
     if bad:
         raise ReductionError(f"coefficients still depend on the state: {bad}")
     return SolutionForm(gsde.ctx, gsde.F[0], gsde.S[0])

@@ -9,7 +9,7 @@ Euclidean metric, so (sigma sigma^T)^{jl} = sum_k sigma^j_k sigma^l_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import ClassVar, Sequence, Tuple
 
 from .expr import (
     Const,
@@ -60,47 +60,47 @@ def _check_coefficients(ctx: Context, f: Sequence[Expr], sigma, what: str):
 
 
 @dataclass(frozen=True)
-class ItoSystem:
-    """dx^i = f^i(x,t) dt + sigma^i_k(x,t) dw^k"""
+class System:
+    """dx^i = drift^i(x,t) dt + sigma^i_k(x,t) dw^k.  The subclass,
+    ``ItoSystem`` or ``StratSystem``, is the calculus the equation is read
+    in and the only place that states it: readers take ``drift`` and
+    ``calculus`` from the system."""
 
     ctx: Context
-    f: Vector
+    drift: Vector
     sigma: Matrix
 
-    def __post_init__(self):
-        f, sigma = _check_coefficients(self.ctx, self.f, self.sigma, "Ito system")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "sigma", sigma)
-
-    @property
-    def n(self) -> int:
-        return self.ctx.n
-
-    @property
-    def m(self) -> int:
-        return self.ctx.m
-
-
-@dataclass(frozen=True)
-class StratSystem:
-    """dx^i = b^i(x,t) dt + sigma^i_k(x,t) o dw^k"""
-
-    ctx: Context
-    b: Vector
-    sigma: Matrix
+    calculus: ClassVar[str]
 
     def __post_init__(self):
-        b, sigma = _check_coefficients(self.ctx, self.b, self.sigma, "Stratonovich system")
-        object.__setattr__(self, "b", b)
+        what = f"{self.calculus.capitalize()} system"
+        drift, sigma = _check_coefficients(self.ctx, self.drift, self.sigma, what)
+        object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "sigma", sigma)
 
-    @property
-    def n(self) -> int:
-        return self.ctx.n
+    def require(self, calculus: str, user: str) -> None:
+        """Raise ModelError (a ValueError) unless this system is read in
+        ``calculus``."""
+        if self.calculus != calculus:
+            raise ModelError(
+                f"{user} takes a system in the {calculus} calculus, not the {self.calculus} one"
+            )
 
-    @property
-    def m(self) -> int:
-        return self.ctx.m
+
+class ItoSystem(System):
+    """dx^i = f^i(x,t) dt + sigma^i_k(x,t) dw^k, with f = ``drift``"""
+
+    calculus = "ito"
+
+
+class StratSystem(System):
+    """dx^i = b^i(x,t) dt + sigma^i_k(x,t) o dw^k, with b = ``drift``"""
+
+    calculus = "stratonovich"
+
+
+# the class each value of a model file's ``type`` key selects
+SYSTEM_TYPES = {cls.calculus: cls for cls in (ItoSystem, StratSystem)}
 
 
 @dataclass(frozen=True)
@@ -154,16 +154,23 @@ def drift_correction(sigma: Matrix, ctx: Context) -> DriftCorrection:
 
 def ito_to_strat(sys: ItoSystem) -> StratSystem:
     """Same diffusion; drift shifted down by the correction: b = f - rho."""
+    sys.require("ito", "ito_to_strat")
     rho = drift_correction(sys.sigma, sys.ctx).rho
-    b = tuple(simplify(add(fi, Neg(ri))) for fi, ri in zip(sys.f, rho))
+    b = tuple(simplify(add(fi, Neg(ri))) for fi, ri in zip(sys.drift, rho))
     return StratSystem(sys.ctx, b, sys.sigma)
 
 
 def strat_to_ito(sys: StratSystem) -> ItoSystem:
     """Inverse conversion: f = b + rho."""
+    sys.require("stratonovich", "strat_to_ito")
     rho = drift_correction(sys.sigma, sys.ctx).rho
-    f = tuple(simplify(add(bi, ri)) for bi, ri in zip(sys.b, rho))
+    f = tuple(simplify(add(bi, ri)) for bi, ri in zip(sys.drift, rho))
     return ItoSystem(sys.ctx, f, sys.sigma)
+
+
+def other_form(sys: System) -> System:
+    """The same equation written in the other calculus."""
+    return ito_to_strat(sys) if sys.calculus == "ito" else strat_to_ito(sys)
 
 
 def sigma_rank_info(sys, box=None, points: int = 8, seed: int = 0) -> dict:
@@ -198,16 +205,14 @@ def sigma_rank_info(sys, box=None, points: int = 8, seed: int = 0) -> dict:
     }
 
 
-def transport_operator(u: Expr, sys) -> Expr:
+def transport_operator(u: Expr, sys: System) -> Expr:
     """L0 = d/dt + f^j d/dx^j + (1/2) Delta for an Ito system, and
     L0 = d/dt + b^j d/dx^j for a Stratonovich one (chain rule, no
     second-order term)."""
-    ito = isinstance(sys, ItoSystem)
-    drift = sys.f if ito else sys.b
     pieces = [differentiate(u, TIME)]
     for j in range(1, sys.ctx.n + 1):
-        pieces.append(mul(drift[j - 1], differentiate(u, state(j))))
-    if ito:
+        pieces.append(mul(sys.drift[j - 1], differentiate(u, state(j))))
+    if sys.calculus == "ito":
         pieces.append(mul(HALF, ito_laplacian(u, sys.sigma, sys.ctx)))
     return simplify(add(*pieces))
 

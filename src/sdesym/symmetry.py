@@ -165,13 +165,6 @@ class ConformalVerdict:
     skew: Optional[np.ndarray] = None
     reason: str = ""
 
-    def to_dict(self) -> dict:
-        out = {"accepted": self.accepted, "reason": self.reason}
-        if self.accepted:
-            out["dilation"] = self.dilation
-            out["skew"] = self.skew.tolist()
-        return out
-
 
 def conformal_check(R, tol: float = 1e-12) -> ConformalVerdict:
     """A constant matrix generates a linear conformal action iff its
@@ -347,8 +340,6 @@ def _determining_equations(
     with f the drift of ``sys`` (b for a Stratonovich system)."""
     config = config or ZeroTestConfig()
     ctx = sys.ctx
-    ito = isinstance(sys, ItoSystem)
-    drift = sys.f if ito else sys.b
     h = X.noise_exprs()
     transported_h = [transport_operator(hk, sys) for hk in h]
     shifted_h = [[shift_operator(hm, sys, k) for hm in h] for k in range(1, ctx.m + 1)]
@@ -356,7 +347,7 @@ def _determining_equations(
     for i in range(ctx.n):
         expr = add(
             transport_operator(X.phi[i], sys),
-            Neg(X.apply(drift[i])),
+            Neg(X.apply(sys.drift[i])),
             *(Neg(mul(sys.sigma[i][k], transported_h[k])) for k in range(ctx.m)),
         )
         labeled.append((f"drift[{i+1}]", expr))
@@ -372,7 +363,7 @@ def _determining_equations(
         ResidualEntry(label, simplify(expr), is_identically_zero(expr, ctx, config))
         for label, expr in labeled
     ]
-    return SymmetryReport("ito" if ito else "stratonovich", family, entries, config.tol)
+    return SymmetryReport(sys.calculus, family, entries, config.tol)
 
 
 def _require_standard(X: VectorField):
@@ -662,18 +653,6 @@ class SolvabilityResult:
     structure_constants: Optional[np.ndarray]  # c[i, j, k]: [X_i,X_j] = c_k X_k
     abelian: bool
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "derived_dims": self.derived_dims,
-            "ordering": self.ordering,
-            "abelian": self.abelian,
-            "structure_constants": None
-            if self.structure_constants is None
-            else self.structure_constants.tolist(),
-            "detail": self.detail,
-        }
 
 
 def _field_features(X: VectorField, columns, points: np.ndarray) -> np.ndarray:

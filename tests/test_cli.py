@@ -145,6 +145,59 @@ def test_reduce_chain_reports_abort(capsys):
     assert len(payload["chain"]["steps"]) == 1
 
 
+CHAIN_MODEL = """[system]
+n = 2
+m = 2
+type = ito
+f1 = 1
+f2 = x1
+sigma_1_1 = 1
+sigma_2_2 = 1
+
+[vectorfield.first]
+phi1 = 0
+phi2 = 1
+
+[vectorfield.second]
+phi1 = 1
+phi2 = t
+
+[changeofvars.identity]
+phi1 = x1
+phi2 = x2
+inverse1 = x1
+inverse2 = x2
+
+[changeofvars.shear]
+phi1 = x1
+phi2 = x2 - t*x1
+inverse1 = x1
+inverse2 = x2 + t*x1
+"""
+
+
+def test_reduce_chain_completes(tmp_path, capsys):
+    """dx1 = dt + dw1, dx2 = x1 dt + dw2 reduced by d/dx2, then by
+    d/dx1 + t d/dx2 pushed through the first step's map and rectified by
+    y2 = x2 - t x1: the intermediate equation is rebuilt as an Ito system."""
+    model = tmp_path / "chain.model"
+    model.write_text(CHAIN_MODEL)
+    code, out, _ = run(
+        capsys, "reduce", "--model", str(model), "--field", "first", "--field", "second",
+        "--cov", "identity", "--cov", "shear", "--json",
+    )
+    assert code == EXIT_OK
+    chain = json.loads(out)["chain"]
+    assert chain["completed"] is True and chain["reason"] == ""
+    first, second = (step["result"] for step in chain["steps"])
+    assert (first["translation_kind"], first["translation_index"]) == ("state", 1)
+    assert (second["translation_kind"], second["translation_index"]) == ("state", 0)
+    assert second["symmetry"]["verdict"] == "symmetry"
+    assert second["coefficients_translation_free"] is True
+    assert second["transformed"]["F"] == ["1", "-1*t"]
+    assert second["transformed"]["S"] == [["1", "0"], ["-1*t", "1"]]
+
+
 def test_simulate_csv_output(tmp_path, capsys):
     target = tmp_path / "stats.csv"
     code, out, _ = run(
@@ -276,7 +329,18 @@ def test_bad_option_value_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", ["", "nope", "check", "check --model linear_additive --bogus"]
+    "argv",
+    [
+        "", "nope", "check", "check --model linear_additive --bogus",
+        # each subcommand takes only the shared flags its handler reads
+        "convert --model linear_additive --seed 1",
+        "convert --model linear_additive --tol 1e-6",
+        "convert --model linear_additive --strict",
+        "simulate --model linear_additive --tol 1e-6",
+        "simulate --model linear_additive --strict",
+        "integrate --model exp_decay_diffusion --field shift --strict",
+        "reduce --model linear_additive --field scaling --strict",
+    ],
 )
 def test_rejected_command_line_exits_usage(capsys, argv):
     code, _, err = run(capsys, *argv.split())

@@ -32,7 +32,7 @@ def test_all_bundled_models_load():
     for path in sorted(model_dir().glob("*.model")):
         b = load_model(path)
         assert b.ctx.n >= 1 and b.ctx.m >= 1
-        assert b.system_type in ("ito", "stratonovich")
+        assert b.system.calculus in ("ito", "stratonovich")
 
 
 def test_vectorfield_sections():
@@ -168,9 +168,9 @@ sigma_1_1 = 1
 def test_render_system_roundtrips_through_loader():
     b = load_model(bundled_model("power_noise"))
     strat = ito_to_strat(b.system)
-    text = render_system(strat, "stratonovich")
+    text = render_system(strat)
     b2 = load_model("converted", text=text)
     assert isinstance(b2.system, StratSystem)
     from sdesym.expr import expressions_equal
 
-    assert expressions_equal(b2.system.b[0], strat.b[0], b.ctx).is_zero
+    assert expressions_equal(b2.system.drift[0], strat.drift[0], b.ctx).is_zero

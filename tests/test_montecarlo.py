@@ -131,21 +131,21 @@ def test_lockstep_runs_equal_separate_runs():
     scalar = Context(n=1, m=1)
     explosive = ItoSystem(scalar, (parse("x^3", scalar),), ((parse("x", scalar),),))
     sets = [
-        ([Run(geo, "euler_maruyama", [1.0]), Run(ito_to_strat(geo), "heun", [1.0])], 0.2, 1e-3),
+        ([Run(geo, [1.0]), Run(ito_to_strat(geo), [1.0])], 0.2, 1e-3),
         # the transformed run goes first: writing into the shared block would
         # change the increments of the run after it
-        ([Run(oscillator, "euler_maruyama", [0.5, -0.3], rotation),
-          Run(oscillator, "euler_maruyama", [0.5, -0.3]),
-          Run(ito_to_strat(oscillator), "heun", [0.5, -0.3], rotation)], 0.2, 1e-3),
-        ([Run(explosive, "euler_maruyama", [1.0], np.array([[-1.0]])),
-          Run(explosive, "euler_maruyama", [1.0]),
-          Run(ito_to_strat(explosive), "heun", [1.0])], 0.5, 1e-2),
+        ([Run(oscillator, [0.5, -0.3], rotation),
+          Run(oscillator, [0.5, -0.3]),
+          Run(ito_to_strat(oscillator), [0.5, -0.3], rotation)], 0.2, 1e-3),
+        ([Run(explosive, [1.0], np.array([[-1.0]])),
+          Run(explosive, [1.0]),
+          Run(ito_to_strat(explosive), [1.0])], 0.5, 1e-2),
     ]
     excluded = 0
     for runs, T, dt in sets:
         together = _simulate(runs, 0.0, T, dt, 300, 17, snapshots=5)
         for run, ens in zip(runs, together):
-            integrate = euler_maruyama if run.scheme == "euler_maruyama" else heun_stratonovich
+            integrate = euler_maruyama if run.system.calculus == "ito" else heun_stratonovich
             alone = integrate(run.system, run.x0, T=T, dt=dt, n_paths=300, seed=17,
                               snapshots=5, dw_transform=run.dw_transform)
             assert np.array_equal(ens.states, alone.states)
@@ -243,7 +243,7 @@ def test_cross_scheme_consistency_bundled_nonconstant_sigma(name, x0, T, params)
     sys_ = b.system
     if params is not None:
         ctx = Context(n=b.ctx.n, m=b.ctx.m, params=params)
-        sys_ = ItoSystem(ctx, sys_.f, sys_.sigma)
+        sys_ = ItoSystem(ctx, sys_.drift, sys_.sigma)
     strat = ito_to_strat(sys_)
     x0v = [x0] * sys_.ctx.n
     n_paths = 2000 if name != "ei_drift" else 400
@@ -376,6 +376,20 @@ def test_validation_rejects_unknown_scheme():
     with pytest.raises(ValueError, match="unknown scheme"):
         symmetry_validation(b.system, b.vectorfields["scaling"], 0.3, [1.0], T=0.01,
                             n_paths=8, scheme="euler")
+
+
+def test_schemes_reject_the_other_calculus():
+    b = bundle("linear_additive")
+    X = b.vectorfields["scaling"]
+    strat = ito_to_strat(b.system)
+    with pytest.raises(ValueError, match="euler_maruyama"):
+        euler_maruyama(strat, [1.0], T=0.01, n_paths=8)
+    with pytest.raises(ValueError, match="heun_stratonovich"):
+        heun_stratonovich(b.system, [1.0], T=0.01, n_paths=8)
+    with pytest.raises(ValueError, match="'heun'"):
+        symmetry_validation(b.system, X, 0.3, [1.0], T=0.01, n_paths=8, scheme="heun")
+    with pytest.raises(ValueError, match="'euler_maruyama'"):
+        symmetry_validation(strat, X, 0.3, [1.0], T=0.01, n_paths=8, scheme="euler_maruyama")
 
 
 def test_validation_trivial_at_zero_parameter():

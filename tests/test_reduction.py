@@ -196,7 +196,7 @@ def test_transform_identity_map():
         inverse=(parse("x", b.ctx),),
     )
     g = transform_ito(b.system, cov)
-    assert expressions_equal(g.F[0], b.system.f[0], b.ctx).is_zero
+    assert expressions_equal(g.F[0], b.system.drift[0], b.ctx).is_zero
     assert expressions_equal(g.S[0][0], b.system.sigma[0][0], b.ctx).is_zero
     assert g.ito_like is True
 
@@ -241,6 +241,15 @@ def test_scaling_adapted_transform_linear_additive():
     assert g.driving == "transformed drivers"
 
 
+def test_ito_transforms_reject_a_stratonovich_system():
+    b = bundle("linear_additive")
+    strat = ito_to_strat(b.system)
+    with pytest.raises(ValueError, match="compatibility_check"):
+        compatibility_check(strat, parse("x", b.ctx))
+    with pytest.raises(ValueError, match="transform_W"):
+        transform_W(strat, scaling_adapted_cov(b.ctx)[0])
+
+
 def test_split_map_stays_ito_quick():
     rng = np.random.default_rng(123)
     for _ in range(10):
@@ -256,7 +265,7 @@ def test_identity_w_map():
         inverse_drivers=(parse("w", b.ctx),),
     )
     g = transform_W(b.system, cov)
-    assert expressions_equal(g.F[0], b.system.f[0], b.ctx).is_zero
+    assert expressions_equal(g.F[0], b.system.drift[0], b.ctx).is_zero
     assert expressions_equal(g.S[0][0], b.system.sigma[0][0], b.ctx).is_zero
     assert g.ito_like is True
 

@@ -52,6 +52,19 @@ def test_construction_checks_dimensions():
         ItoSystem(ctx, (ZERO,), ((ZERO,), (ZERO,)))
 
 
+def test_class_states_the_calculus():
+    ito = scalar_system("lam*x", "mu*x")
+    strat = StratSystem(ito.ctx, ito.drift, ito.sigma)
+    assert (ito.calculus, strat.calculus) == ("ito", "stratonovich")
+    assert ito != strat
+    with pytest.raises(ModelError, match="^Stratonovich system: drift has 1 components"):
+        StratSystem(Context(n=2, m=1), (ZERO,), ((ZERO,), (ZERO,)))
+    with pytest.raises(ValueError, match="ito_to_strat"):
+        ito_to_strat(strat)
+    with pytest.raises(ValueError, match="strat_to_ito"):
+        strat_to_ito(ito)
+
+
 def test_laplacian_of_constant_is_zero():
     sys_ = scalar_system("lam*x", "mu")
     assert ito_laplacian(Const(3), sys_.sigma, sys_.ctx) == ZERO
@@ -99,7 +112,7 @@ def test_drift_correction_2d_diagonal_constant():
 def test_conversion_constant_sigma_is_identity():
     sys_ = scalar_system("lam*x", "mu")
     strat = ito_to_strat(sys_)
-    assert tuple(map(simplify, strat.b)) == tuple(map(simplify, sys_.f))
+    assert tuple(map(simplify, strat.drift)) == tuple(map(simplify, sys_.drift))
     assert strat.sigma == sys_.sigma
 
 
@@ -107,7 +120,7 @@ def test_conversion_power_noise_drift():
     sys_ = scalar_system("lam*x", "mu*x^alpha")
     strat = ito_to_strat(sys_)
     target = parse("lam*x - (1/2)*alpha*mu^2*x^(2*alpha - 1)", sys_.ctx)
-    assert expressions_equal(strat.b[0], target, sys_.ctx).is_zero
+    assert expressions_equal(strat.drift[0], target, sys_.ctx).is_zero
 
 
 @pytest.mark.parametrize(
@@ -123,7 +136,7 @@ def test_conversion_power_noise_drift():
 def test_roundtrip_identity(f_text, sigma_text):
     sys_ = scalar_system(f_text, sigma_text)
     back = strat_to_ito(ito_to_strat(sys_))
-    assert tuple(map(simplify, back.f)) == tuple(map(simplify, sys_.f))
+    assert tuple(map(simplify, back.drift)) == tuple(map(simplify, sys_.drift))
     assert back.sigma == sys_.sigma
 
 
@@ -138,7 +151,7 @@ def test_roundtrip_identity_2d():
         ),
     )
     back = strat_to_ito(ito_to_strat(sys_))
-    assert tuple(map(simplify, back.f)) == tuple(map(simplify, sys_.f))
+    assert tuple(map(simplify, back.drift)) == tuple(map(simplify, sys_.drift))
 
 
 def test_laplacian_linearity_on_random_trees():

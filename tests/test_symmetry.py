@@ -366,7 +366,7 @@ def test_compare_calculi_on_given_reports_equals_agreement_analysis(model, name)
     # trip through the Ito form.
     b = bundle(model)
     X = b.vectorfields[name]
-    if b.system_type == "ito":
+    if b.system.calculus == "ito":
         ito_sys, strat_sys = b.system, ito_to_strat(b.system)
     else:
         ito_sys, strat_sys = strat_to_ito(b.system), b.system
@@ -560,7 +560,7 @@ def residual_records(seed: int, count: int):
         for j, (name, b, X) in enumerate(general_h_fields(seed, count))
     ]
     for key, b, X in cases:
-        if b.system_type == "ito":
+        if b.system.calculus == "ito":
             systems = (b.system, ito_to_strat(b.system))
         else:
             systems = (strat_to_ito(b.system), b.system)
