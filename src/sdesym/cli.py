@@ -5,9 +5,10 @@ calculus), integrate (scalar symmetry-adapted integration with Monte Carlo
 cross-check), reduce (sequential reduction), simulate (path ensembles with
 CSV/JSON output), examples (regression run over the bundled models).
 
-Exit codes: 0 success, 1 usage/parse error (argparse rejections and bad
-option values included), 2 verdict failure in ``examples``, 3 inconclusive
-result under --strict.
+Exit codes: 0 success, 1 usage/parse error (argparse rejections, bad option
+values, unreadable models, and fields or changes of variables a command
+cannot use, each reported as one ``error:`` line), 2 verdict failure in
+``examples``, 3 inconclusive result under --strict.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import montecarlo as mc
-from .expr import ExprSyntaxError, SamplingBox, ZeroTestConfig, to_string
+from .expr import ExprSyntaxError, ZeroTestConfig, to_string
 from .modelfile import ModelBundle, ModelFileError, load_model, render_system
 from .reduction import (
     ChangeOfVariables,
     ReductionError,
-    GeneralSDE,
     compatibility_check,
     integrate_scalar,
     integrating_variable,
@@ -35,20 +35,9 @@ from .reduction import (
     reduce_step,
     rotation_adapted_cov,
     scaling_adapted_cov,
-    transform_ito,
 )
 from .sde import ItoSystem, other_form
-from .symmetry import (
-    LinearW,
-    SymmetryError,
-    classify,
-    compare_calculi,
-    conformal_check,
-    residual_standard_ito,
-    residual_standard_strat,
-    residual_W_ito,
-    residual_W_strat,
-)
+from .symmetry import LinearW, SymmetryError, classify, compare_calculi, residuals
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -147,17 +136,13 @@ def cmd_check(args) -> int:
         entry = {"name": name}
         entry["classification"] = classify(X, bundle.system, config).to_dict()
         try:
-            if X.noise is None:
-                entry["ito"] = residual_standard_ito(X, ito_sys, config).to_dict()
-                entry["stratonovich"] = residual_standard_strat(X, strat_sys, config).to_dict()
-            else:
-                ito_rep = residual_W_ito(X, ito_sys, config, force=args.force)
-                strat_rep = residual_W_strat(X, strat_sys, config, force=args.force)
-                entry["ito"] = ito_rep.to_dict()
-                entry["stratonovich"] = strat_rep.to_dict()
-                if isinstance(X.noise, LinearW):
-                    agreement = compare_calculi(X, ito_rep, strat_rep, bundle.system, config)
-                    entry["agreement"] = agreement.to_dict()
+            ito_rep = residuals(X, ito_sys, config, force=args.force)
+            strat_rep = residuals(X, strat_sys, config, force=args.force)
+            entry["ito"] = ito_rep.to_dict()
+            entry["stratonovich"] = strat_rep.to_dict()
+            if isinstance(X.noise, LinearW):
+                agreement = compare_calculi(X, ito_rep, strat_rep, bundle.system, config)
+                entry["agreement"] = agreement.to_dict()
         except SymmetryError as err:
             entry["error"] = str(err)
         report["fields"].append(entry)
@@ -229,12 +214,8 @@ def cmd_integrate(args) -> int:
         variable = integrating_variable(X.phi[0], sys_ito.ctx)
         cov = ChangeOfVariables(sys_ito.ctx, (variable,), direction="old_to_new")
 
-    try:
-        step = reduce_step(sys_ito, X, cov, config)
-        form = integrate_scalar(step.transformed, config)
-    except ReductionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    step = reduce_step(sys_ito, X, cov, config)
+    form = integrate_scalar(step.transformed, config)
 
     report = {
         "meta": _report_meta(bundle, args, config),
@@ -291,25 +272,15 @@ def cmd_reduce(args) -> int:
     except KeyError as err:
         print(f"error: no vector field named {err}", file=sys.stderr)
         return EXIT_USAGE
-    covs = []
-    try:
-        for i, name in enumerate(args.cov or []):
-            covs.append(_resolve_cov(bundle, name))
-        while len(covs) < len(fields):
-            covs.append(scaling_adapted_cov(bundle.ctx)[0])
-    except ModelFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if len(fields) == 1:
-            result = reduce_step(bundle.system, fields[0], covs[0], config)
-            payload = {"meta": _report_meta(bundle, args, config), "step": result.to_dict()}
-        else:
-            chain = reduce_sequence(bundle.system, fields, covs, config)
-            payload = {"meta": _report_meta(bundle, args, config), "chain": chain.to_dict()}
-    except (ReductionError, SymmetryError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    covs = [_resolve_cov(bundle, name) for name in args.cov or []]
+    while len(covs) < len(fields):
+        covs.append(scaling_adapted_cov(bundle.ctx)[0])
+    if len(fields) == 1:
+        result = reduce_step(bundle.system, fields[0], covs[0], config)
+        payload = {"meta": _report_meta(bundle, args, config), "step": result.to_dict()}
+    else:
+        chain = reduce_sequence(bundle.system, fields, covs, config)
+        payload = {"meta": _report_meta(bundle, args, config), "chain": chain.to_dict()}
     _emit(payload, args)
     return EXIT_OK
 
@@ -329,11 +300,7 @@ def cmd_simulate(args) -> int:
         return EXIT_USAGE
     integrate = mc.euler_maruyama if bundle.system.calculus == "ito" else mc.heun_stratonovich
     ens = integrate(bundle.system, x0, T=args.horizon, dt=args.dt, n_paths=args.paths, seed=args.seed)
-    try:
-        stats = mc.ensemble_stats(ens)
-    except mc.FlowError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    stats = mc.ensemble_stats(ens)
     csv_text = stats.to_csv()
     if args.csv_out:
         Path(args.csv_out).write_text(csv_text)
@@ -377,11 +344,7 @@ def _run_examples(only: Optional[str], seed: int, tol: float):
 
 
 def cmd_examples(args) -> int:
-    try:
-        results = _run_examples(args.only, args.seed, args.tol)
-    except ModelFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    results = _run_examples(args.only, args.seed, args.tol)
     payload = {
         "seed": args.seed,
         "tolerance": args.tol,
@@ -489,7 +452,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_OK if done.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except (ModelFileError, ExprSyntaxError) as err:
+    except (ModelFileError, ExprSyntaxError, ReductionError, SymmetryError, mc.FlowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

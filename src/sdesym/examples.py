@@ -55,10 +55,7 @@ from .symmetry import (
     classify,
     compare_calculi,
     conformal_check,
-    residual_standard_ito,
-    residual_standard_strat,
-    residual_W_ito,
-    residual_W_strat,
+    residuals,
     solvability_check,
 )
 
@@ -175,8 +172,8 @@ def random_split_map_case(rng: np.random.Generator) -> Tuple[ItoSystem, ChangeOf
 
 def case_exp_decay_diffusion(config: ZeroTestConfig) -> CaseResult:
     bundle = _bundled("exp_decay_diffusion")
-    good = residual_standard_ito(bundle.vectorfields["shift"], bundle.system, config)
-    bad = residual_standard_ito(bundle.vectorfields["not_a_symmetry"], bundle.system, config)
+    good = residuals(bundle.vectorfields["shift"], bundle.system, config)
+    bad = residuals(bundle.vectorfields["not_a_symmetry"], bundle.system, config)
     ok = good.verdict == "symmetry" and bad.verdict == "not_symmetry"
     return _ok("exp_decay_diffusion", ok, f"shift={good.verdict}, control={bad.verdict}")
 
@@ -184,9 +181,9 @@ def case_exp_decay_diffusion(config: ZeroTestConfig) -> CaseResult:
 def case_exponential_drift(config: ZeroTestConfig) -> CaseResult:
     bundle = _bundled("exponential_drift")
     sys_i: ItoSystem = bundle.system
-    rep = residual_standard_ito(bundle.vectorfields["random"], sys_i, config)
+    rep = residuals(bundle.vectorfields["random"], sys_i, config)
     cls = classify(bundle.vectorfields["timeshift"], sys_i, config)
-    control = residual_standard_ito(bundle.vectorfields["not_a_symmetry"], sys_i, config)
+    control = residuals(bundle.vectorfields["not_a_symmetry"], sys_i, config)
     compat = compatibility_check(sys_i, bundle.vectorfields["random"].phi[0], config)
     rhs_is_expw = expressions_equal(compat.rhs, parse("exp(w)", bundle.ctx), bundle.ctx, config)
     lhs_zero = is_identically_zero(compat.lhs, bundle.ctx, config)
@@ -216,8 +213,8 @@ def case_exponential_drift(config: ZeroTestConfig) -> CaseResult:
 def case_linear_additive(config: ZeroTestConfig) -> CaseResult:
     bundle = _bundled("linear_additive")
     X = bundle.vectorfields["scaling"]
-    ito_rep = residual_W_ito(X, bundle.system, config)
-    strat_rep = residual_W_strat(X, ito_to_strat(bundle.system), config)
+    ito_rep = residuals(X, bundle.system, config)
+    strat_rep = residuals(X, ito_to_strat(bundle.system), config)
     agree = compare_calculi(X, ito_rep, strat_rep, bundle.system, config)
     ok = (
         ito_rep.verdict == "symmetry"
@@ -230,8 +227,8 @@ def case_linear_additive(config: ZeroTestConfig) -> CaseResult:
 def case_power_noise(config: ZeroTestConfig) -> CaseResult:
     bundle = _bundled("power_noise")
     X = bundle.vectorfields["scaling"]
-    ito_rep = residual_W_ito(X, bundle.system, config)
-    strat_rep = residual_W_strat(X, ito_to_strat(bundle.system), config)
+    ito_rep = residuals(X, bundle.system, config)
+    strat_rep = residuals(X, ito_to_strat(bundle.system), config)
     target = parse("alpha*(alpha-1)*mu^2*x^(2*alpha-1)", bundle.ctx)
     resid_matches = expressions_equal(
         strat_rep.entries[0].expr, target, bundle.ctx, config
@@ -253,8 +250,8 @@ def case_power_noise(config: ZeroTestConfig) -> CaseResult:
 def case_ei_drift(config: ZeroTestConfig) -> CaseResult:
     bundle = _bundled("ei_drift")
     X = bundle.vectorfields["wscaling"]
-    ito_rep = residual_W_ito(X, bundle.system, config)
-    strat_rep = residual_W_strat(X, ito_to_strat(bundle.system), config)
+    ito_rep = residuals(X, bundle.system, config)
+    strat_rep = residuals(X, ito_to_strat(bundle.system), config)
     ok = ito_rep.verdict == "symmetry" and strat_rep.verdict == "not_symmetry"
     return _ok("ei_drift", ok, f"ito={ito_rep.verdict}, strat={strat_rep.verdict}")
 
@@ -272,7 +269,7 @@ def case_conformal_gate(config: ZeroTestConfig) -> CaseResult:
     }
     forced_ok = True
     for name in ("opposite_scaling", "hyperbolic"):
-        rep = residual_W_ito(bundle.vectorfields[name], bundle.system, config, force=True)
+        rep = residuals(bundle.vectorfields[name], bundle.system, config, force=True)
         forced_ok &= rep.verdict == "symmetry"
     ok = verdicts == expected and forced_ok
     return _ok(
@@ -323,17 +320,17 @@ def case_anisotropic_gate(config: ZeroTestConfig) -> CaseResult:
     opposite = bundle.vectorfields["opposite_scaling"]
     ok = conformal_check(joint.noise.matrix).accepted
     ok &= not conformal_check(opposite.noise.matrix).accepted
-    ok &= residual_W_ito(joint, bundle.system, config).verdict == "symmetry"
-    ok &= residual_W_ito(opposite, bundle.system, config, force=True).verdict == "symmetry"
-    ok &= residual_W_strat(joint, ito_to_strat(bundle.system), config).verdict == "symmetry"
+    ok &= residuals(joint, bundle.system, config).verdict == "symmetry"
+    ok &= residuals(opposite, bundle.system, config, force=True).verdict == "symmetry"
+    ok &= residuals(joint, ito_to_strat(bundle.system), config).verdict == "symmetry"
     return _ok("anisotropic_gate", ok)
 
 
 def case_nonlinear_rotation(config: ZeroTestConfig) -> CaseResult:
     bundle = _bundled("isotropic_nonlinear_oscillator")
     X = bundle.vectorfields["rotation"]
-    ito_rep = residual_W_ito(X, bundle.system, config)
-    strat_rep = residual_W_strat(X, ito_to_strat(bundle.system), config)
+    ito_rep = residuals(X, bundle.system, config)
+    strat_rep = residuals(X, ito_to_strat(bundle.system), config)
     agree = compare_calculi(X, ito_rep, strat_rep, bundle.system, config)
     ok = (
         ito_rep.verdict == "symmetry"
@@ -381,8 +378,8 @@ def case_rotation_reduction(config: ZeroTestConfig) -> CaseResult:
 
 def case_counterexamples(config: ZeroTestConfig) -> CaseResult:
     bundle = _bundled("counterexample_fields")
-    v1 = residual_W_ito(bundle.vectorfields["exponential_w"], bundle.system, config)
-    v2 = residual_W_ito(bundle.vectorfields["quadratic_w"], bundle.system, config)
+    v1 = residuals(bundle.vectorfields["exponential_w"], bundle.system, config)
+    v2 = residuals(bundle.vectorfields["quadratic_w"], bundle.system, config)
     ok = v1.verdict == "not_symmetry" and v2.verdict == "not_symmetry"
     ok = ok and v1.witness is not None and v2.witness is not None
     return _ok("counterexample_fields", ok, f"{v1.verdict}/{v2.verdict}")
@@ -391,8 +388,8 @@ def case_counterexamples(config: ZeroTestConfig) -> CaseResult:
 def case_constant_coefficients(config: ZeroTestConfig, seed: int) -> CaseResult:
     bundle = _bundled("constant_coefficients")
     X = bundle.vectorfields["shear"]
-    rep = residual_W_ito(X, bundle.system, config)
-    strat_rep = residual_W_strat(X, ito_to_strat(bundle.system), config)
+    rep = residuals(X, bundle.system, config)
+    strat_rep = residuals(X, ito_to_strat(bundle.system), config)
     exact, flow_exact = constant_coefficient_deviations(seed, 0.4)
     ok = (
         rep.verdict == "symmetry"
@@ -484,13 +481,13 @@ def agreement_failure(config: ZeroTestConfig, seed: int) -> Optional[str]:
         if not expressions_equal(rep.discrepancy[0], obstruction, ctx, config).is_zero:
             return f"discrepancy != sigma*sigma_x*R: {to_string(rep.discrepancy[0])}"
         const_sys = ItoSystem(ctx, sys_i.drift, ((Const(Fraction(3, 4)),),))
-        a = residual_W_ito(X, const_sys, config, force=True)
-        b = residual_W_strat(X, ito_to_strat(const_sys), config, force=True)
+        a = residuals(X, const_sys, config, force=True)
+        b = residuals(X, ito_to_strat(const_sys), config, force=True)
         if a.verdict != b.verdict:
             return "constant-sigma verdicts differ"
         X0 = VectorField(ctx, X.phi, noise=None)
-        a0 = residual_standard_ito(X0, sys_i, config)
-        b0 = residual_standard_strat(X0, ito_to_strat(sys_i), config)
+        a0 = residuals(X0, sys_i, config)
+        b0 = residuals(X0, ito_to_strat(sys_i), config)
         if a0.verdict != b0.verdict:
             return "R=0 verdicts differ"
     return None

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Tuple, Union
 
 Number = Union[int, float, Fraction]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from .nodes import (
     BUILTINS,
@@ -22,11 +22,7 @@ from .nodes import (
     Neg,
     Param,
     Power,
-    Product,
-    Sum,
     Var,
-    VarId,
-    VarKind,
     add,
     mul,
     negate,

@@ -25,7 +25,7 @@ cross-check, a scheme comparison) are stepped in lockstep by one loop,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +36,6 @@ from scipy.stats import ks_2samp
 from .expr import (
     Context,
     EvaluationError,
-    Expr,
     Kernel,
     TIME,
     evaluate,

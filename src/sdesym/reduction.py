@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,12 +51,11 @@ from .expr import (
 )
 from .sde import ItoSystem, ito_laplacian, transport_operator, shift_operator
 from .symmetry import (
+    GeneralH,
     LinearW,
-    SymmetryError,
     SymmetryReport,
     VectorField,
-    residual_standard_ito,
-    residual_W_ito,
+    residuals,
     solvability_check,
 )
 
@@ -390,6 +389,7 @@ def transform_ito(
         raise ReductionError("transform_ito expects an old_to_new map")
     if cov.wiener_map is not None:
         raise ReductionError("transform_ito handles maps that fix the Wiener variables")
+    sys.require("ito", "transform_ito")
     ctx = sys.ctx
     F = [transport_operator(phi_i, sys) for phi_i in cov.forward]
     S = [
@@ -426,6 +426,7 @@ def ito_preservation_check(
         L0(d_{w^m} Phi^i) = 0,   L_k(d_{w^m} Phi^i) = 0.
     """
     config = config or ZeroTestConfig()
+    sys.require("ito", "ito_preservation_check")
     ctx = sys.ctx
     out = []
     for i in range(ctx.n):
@@ -769,13 +770,11 @@ def reduce_step(
     supplied coordinates rectify it, transform, and certify that the new
     coefficients do not involve the translation coordinate."""
     config = config or ZeroTestConfig()
+    sys.require("ito", "reduce_step")
     ctx = sys.ctx
-    if X.noise is None:
-        report = residual_standard_ito(X, sys, config)
-    elif isinstance(X.noise, LinearW):
-        report = residual_W_ito(X, sys, config)
-    else:
+    if isinstance(X.noise, GeneralH):
         raise ReductionError("reduction uses standard or linear Wiener-acting symmetries")
+    report = residuals(X, sys, config)
     if report.verdict != "symmetry":
         raise ReductionError(
             f"candidate failed symmetry verification: {report.witness or report.verdict}"

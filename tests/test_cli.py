@@ -120,6 +120,28 @@ def test_integrate_requires_field(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        "phi1 = 0",  # no integrating variable: reduction refuses phi = 0
+        "phi1 = 1\ntau = 1",  # acts on time: symmetry verification refuses it
+    ],
+    ids=["zero_phi", "acts_on_time"],
+)
+def test_integrate_unusable_field_is_a_diagnostic(tmp_path, capsys, field):
+    model = tmp_path / "unusable.model"
+    model.write_text(
+        "[system]\nn = 1\nm = 1\ntype = ito\nf1 = 0\nsigma_1_1 = 1\n\n"
+        f"[vectorfield.unusable]\n{field}\n"
+    )
+    code, out, err = run(
+        capsys, "integrate", "--model", str(model), "--field", "unusable", "--paths", "0",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_reduce_single_step(capsys):
     code, out, _ = run(
         capsys, "reduce", "--model", "isotropic_nonlinear_oscillator",

@@ -248,6 +248,15 @@ def test_ito_transforms_reject_a_stratonovich_system():
         compatibility_check(strat, parse("x", b.ctx))
     with pytest.raises(ValueError, match="transform_W"):
         transform_W(strat, scaling_adapted_cov(b.ctx)[0])
+    decay = bundle("exp_decay_diffusion")
+    decay_strat = ito_to_strat(decay.system)
+    rectify = decay.covs["rectify"]
+    with pytest.raises(ValueError, match="transform_ito"):
+        transform_ito(decay_strat, rectify)
+    with pytest.raises(ValueError, match="ito_preservation_check"):
+        ito_preservation_check(decay_strat, rectify)
+    with pytest.raises(ValueError, match="reduce_step"):
+        reduce_step(decay_strat, decay.vectorfields["shift"], rectify)
 
 
 def test_split_map_stays_ito_quick():

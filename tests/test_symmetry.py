@@ -24,7 +24,7 @@ from sdesym.expr import (
     wiener,
 )
 from sdesym.modelfile import load_model
-from sdesym.sde import ItoSystem, ito_to_strat, strat_to_ito
+from sdesym.sde import ItoSystem, ModelError, ito_to_strat, strat_to_ito
 from sdesym.symmetry import (
     GeneralH,
     LinearW,
@@ -41,6 +41,7 @@ from sdesym.symmetry import (
     residual_standard_strat,
     residual_W_ito,
     residual_W_strat,
+    residuals,
     sigma_operator,
     solvability_check,
 )
@@ -256,6 +257,41 @@ def test_general_h_lineage():
     assert rep_gen.verdict == rep_lin.verdict == "symmetry"
     rep_strat = residual_W_strat(gen, ito_to_strat(b.system))
     assert rep_strat.verdict == "symmetry"
+
+
+def test_residuals_take_the_family_from_the_field():
+    b = bundle("linear_additive")
+    lin = b.vectorfields["scaling"]
+    gen = VectorField(b.ctx, lin.phi, noise=GeneralH((parse("w", b.ctx),)))
+    std = VectorField(b.ctx, lin.phi)
+    strat = ito_to_strat(b.system)
+    for X, family in ((std, "standard"), (lin, "linear_w"), (gen, "general_h")):
+        for sys_ in (b.system, strat):
+            report = residuals(X, sys_)
+            assert (report.family, report.calculus) == (family, sys_.calculus)
+
+
+def test_wiener_acting_field_on_time_is_refused():
+    b = bundle("exponential_drift")
+    X = VectorField(b.ctx, (ZERO,), tau=ONE, noise=LinearW.from_matrix([[1.0]]))
+    with pytest.raises(SymmetryError, match="Wiener-acting candidates must be simple"):
+        residuals(X, b.system)
+
+
+@pytest.mark.parametrize(
+    "residual",
+    [residual_standard_ito, residual_standard_strat, residual_W_ito, residual_W_strat],
+    ids=lambda f: f.__name__,
+)
+def test_named_residuals_refuse_the_other_calculus(residual):
+    # each kept name states a calculus; a system of the other one is refused
+    b = bundle("linear_strat_oscillator")
+    X = b.vectorfields["scaling"]
+    if "standard" in residual.__name__:
+        X = VectorField(b.ctx, X.phi)
+    other = b.system if residual.__name__.endswith("_ito") else strat_to_ito(b.system)
+    with pytest.raises(ModelError, match=residual.__name__):
+        residual(X, other)
 
 
 def test_zero_R_degenerates_to_standard():
@@ -570,18 +606,13 @@ def residual_records(seed: int, count: int):
             "phi": [to_string(e) for e in X.phi],
             "h": [to_string(e) for e in X.noise_exprs()],
         }
-        for calculus, sys_ in zip(("ito", "stratonovich"), systems):
+        for sys_ in systems:
             try:
-                if X.noise is None:
-                    residual = residual_standard_ito if calculus == "ito" else residual_standard_strat
-                    report = residual(X, sys_, config)
-                else:
-                    residual = residual_W_ito if calculus == "ito" else residual_W_strat
-                    report = residual(X, sys_, config, force=True)
+                report = residuals(X, sys_, config, force=True)
             except SymmetryError as err:
-                record[calculus] = {"error": str(err)}
+                record[sys_.calculus] = {"error": str(err)}
                 continue
-            record[calculus] = {
+            record[sys_.calculus] = {
                 "family": report.family,
                 "entries": [
                     {
