@@ -62,6 +62,10 @@ def differentiate(e: Expr, v: VarId) -> Expr:
     return simplify(_diff(e, v))
 
 
+def _is_zero(d: Expr) -> bool:
+    return isinstance(d, Const) and not d.value
+
+
 def _diff(e: Expr, v: VarId) -> Expr:
     if isinstance(e, (Const, Param)):
         return ZERO
@@ -75,7 +79,7 @@ def _diff(e: Expr, v: VarId) -> Expr:
         pieces = []
         for i, factor in enumerate(e.factors):
             dfactor = differentiate(factor, v)
-            if isinstance(dfactor, Const) and dfactor.value == 0:
+            if _is_zero(dfactor):
                 continue
             pieces.append(mul(*e.factors[:i], dfactor, *e.factors[i + 1 :]))
         return add(*pieces)
@@ -84,15 +88,15 @@ def _diff(e: Expr, v: VarId) -> Expr:
         dbase = differentiate(base, v)
         dexp = differentiate(exponent, v)
         pieces = []
-        if not (isinstance(dbase, Const) and dbase.value == 0):
+        if not _is_zero(dbase):
             # exponent * base^(exponent-1) * dbase
             pieces.append(mul(exponent, Power(base, add(exponent, MINUS_ONE)), dbase))
-        if not (isinstance(dexp, Const) and dexp.value == 0):
+        if not _is_zero(dexp):
             pieces.append(mul(dexp, Apply("log", base), e))
         return add(*pieces)
     if isinstance(e, Apply):
         darg = differentiate(e.arg, v)
-        if isinstance(darg, Const) and darg.value == 0:
+        if _is_zero(darg):
             return ZERO
         return mul(_chain_factor(e.fn, e.arg), darg)
     if isinstance(e, AntiDeriv):

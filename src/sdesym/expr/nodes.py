@@ -4,6 +4,8 @@ Nodes are value objects: structurally equal trees compare and hash equal,
 which is what makes memoized differentiation and like-term collection work.
 Rational constants are kept exact (fractions.Fraction); floats only appear
 when a literal was written as a float or a numeric evaluation happened.
+Constants of different number types never compare equal, so 0.5 and 1/2
+stay distinct trees.
 """
 
 from __future__ import annotations
@@ -173,21 +175,30 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: Number):
-        if isinstance(value, bool):
-            raise TypeError("bool constant")
         if isinstance(value, int):
+            if isinstance(value, bool):
+                raise TypeError("bool constant")
             value = Fraction(value)
-        if not isinstance(value, (Fraction, float)):
+        if isinstance(value, Fraction):
+            # hashed by its normalised parts: Fraction.__hash__ costs a
+            # modular inverse, and simplify builds constants all the time
+            h = hash(("Const", value.numerator, value.denominator))
+        elif isinstance(value, float):
+            h = hash(("Const", value))
+        else:
             raise TypeError(f"constant must be rational or float, got {value!r}")
         object.__setattr__(self, "value", value)
-        self._init_meta(hash(("Const", value)))
+        self._init_meta(h)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Const)
-            and type(self.value) is type(other.value)
-            and self.value == other.value
-        )
+        if not isinstance(other, Const):
+            return False
+        a, b = self.value, other.value
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Fraction):  # normalised, so equal parts mean equal values
+            return a.numerator == b.numerator and a.denominator == b.denominator
+        return a == b
 
     __hash__ = Expr.__hash__
 

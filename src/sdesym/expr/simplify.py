@@ -45,6 +45,10 @@ _CACHE_CAP = 40_000
 
 _EXPAND_CAP = 1024  # max number of terms a product-over-sum expansion may create
 
+# The coefficient of a term with no constant factor.  Coefficients start
+# from the first constant found, never from a multiplication by one.
+_UNIT = Fraction(1)
+
 
 def simplify(e: Expr) -> Expr:
     cached = _cache.get(e)
@@ -75,28 +79,35 @@ def _simplify(e: Expr) -> Expr:
     raise TypeError(f"unknown node {e!r}")
 
 
+def _times(coeff, value):
+    """coeff * value; a coeff of None (no constant seen yet) takes value as is."""
+    return value if coeff is None else coeff * value
+
+
 def _split_coeff(term: Expr) -> Tuple[object, Expr]:
     """term == coeff * key with coeff a plain number and key constant-free."""
     if isinstance(term, Const):
         return term.value, ONE
     if isinstance(term, Product):
-        coeff = Fraction(1)
+        coeff = None
         rest: List[Expr] = []
         for factor in term.factors:
             if isinstance(factor, Const):
-                coeff = coeff * factor.value
+                coeff = _times(coeff, factor.value)
             else:
                 rest.append(factor)
+        if coeff is None:
+            coeff = _UNIT
         if not rest:
             return coeff, ONE
         return coeff, rest[0] if len(rest) == 1 else Product(tuple(rest))
-    return Fraction(1), term
+    return _UNIT, term
 
 
 def _with_coeff(coeff, key: Expr) -> Expr:
-    if key is ONE or key == ONE:
+    if key is ONE:
         return Const(coeff)
-    if coeff == 1 and not isinstance(coeff, float):
+    if coeff is _UNIT or (isinstance(coeff, Fraction) and coeff == 1):
         return key
     if isinstance(key, Product):
         return Product((Const(coeff),) + key.factors)
@@ -122,7 +133,7 @@ def _simplify_sum(terms: List[Expr]) -> Expr:
     out: List[Expr] = []
     for key in sorted(order, key=lambda k: k.sort_key()):
         coeff = buckets[key]
-        if coeff == 0:
+        if not coeff:
             continue
         out.append(_with_coeff(coeff, key))
     if not out:
@@ -148,15 +159,15 @@ def _simplify_product(factors: List[Expr]) -> Expr:
     expanded = _distribute(flat)
     if expanded is not None:
         return expanded
-    coeff = Fraction(1)
+    coeff = None  # product of the constant factors, None before the first
     exp_args: List[Expr] = []  # arguments of exp factors, to be summed
     buckets: Dict[Expr, List[Expr]] = {}
     order: List[Expr] = []
     for factor in flat:
         if isinstance(factor, Const):
-            if factor.value == 0:
+            if not factor.value:
                 return ZERO
-            coeff = coeff * factor.value
+            coeff = _times(coeff, factor.value)
             continue
         if isinstance(factor, Apply) and factor.fn == "exp":
             exp_args.append(factor.arg)
@@ -175,18 +186,18 @@ def _simplify_product(factors: List[Expr]) -> Expr:
         total = simplify(add(*exp_args))
         merged = _simplify_apply("exp", total)
         if isinstance(merged, Const):
-            if merged.value == 0:
+            if not merged.value:
                 return ZERO
-            coeff = coeff * merged.value
+            coeff = _times(coeff, merged.value)
         else:
             out.append(merged)
     for base in order:
         exponent = simplify(add(*buckets[base]))
         piece = _simplify_power(base, exponent)
         if isinstance(piece, Const):
-            if piece.value == 0:
+            if not piece.value:
                 return ZERO
-            coeff = coeff * piece.value
+            coeff = _times(coeff, piece.value)
         else:
             out.append(piece)
     # a merged piece may itself be a product (e.g. after distributing an
@@ -196,17 +207,20 @@ def _simplify_product(factors: List[Expr]) -> Expr:
         if isinstance(piece, Product):
             for sub in piece.factors:
                 if isinstance(sub, Const):
-                    coeff = coeff * sub.value
+                    coeff = _times(coeff, sub.value)
                 else:
                     flat_out.append(sub)
         else:
             flat_out.append(piece)
     flat_out.sort(key=lambda f: f.sort_key())
-    if coeff == 0:
+    if coeff is None:
+        if not flat_out:
+            return ONE
+    elif not coeff:
         return ZERO
-    if not flat_out:
+    elif not flat_out:
         return Const(coeff)
-    if coeff != 1 or isinstance(coeff, float):
+    elif isinstance(coeff, float) or coeff != 1:
         flat_out.insert(0, Const(coeff))
     if len(flat_out) == 1:
         return flat_out[0]
@@ -240,7 +254,7 @@ def _distribute(flat: List[Expr]) -> Expr:
 
 def _simplify_power(base: Expr, exponent: Expr) -> Expr:
     if isinstance(exponent, Const):
-        if exponent.value == 0:
+        if not exponent.value:
             return ONE
         if exponent.value == 1:
             return base
@@ -251,7 +265,7 @@ def _simplify_power(base: Expr, exponent: Expr) -> Expr:
             if isinstance(base.value, Fraction) and isinstance(exponent.value, Fraction):
                 if exponent.value.denominator == 1:
                     power = int(exponent.value)
-                    if base.value == 0 and power < 0:
+                    if not base.value and power < 0:
                         return Power(base, exponent)  # undefined, leave alone
                     return Const(base.value ** power)
             if isinstance(base.value, float) or isinstance(exponent.value, float):
@@ -262,7 +276,7 @@ def _simplify_power(base: Expr, exponent: Expr) -> Expr:
                 if isinstance(value, complex):
                     return Power(base, exponent)
                 return Const(value)
-        if base.value == 0 and isinstance(exponent, Const) and exponent.value > 0:
+        if not base.value and isinstance(exponent, Const) and exponent.value > 0:
             return ZERO
     if isinstance(base, Apply) and base.fn == "exp":
         return _simplify_apply("exp", simplify(mul(exponent, base.arg)))
@@ -300,7 +314,7 @@ def _split_log_term(term: Expr):
 
 def _simplify_apply(fn: str, arg: Expr) -> Expr:
     if fn == "exp":
-        if isinstance(arg, Const) and arg.value == 0:
+        if isinstance(arg, Const) and not arg.value:
             return ONE
         if isinstance(arg, Apply) and arg.fn == "log":
             return arg.arg
@@ -329,15 +343,15 @@ def _simplify_apply(fn: str, arg: Expr) -> Expr:
             return Const(arg.value)
         return Apply("sqrt", arg)
     if fn == "sin":
-        if isinstance(arg, Const) and arg.value == 0:
+        if isinstance(arg, Const) and not arg.value:
             return ZERO
         return Apply("sin", arg)
     if fn == "cos":
-        if isinstance(arg, Const) and arg.value == 0:
+        if isinstance(arg, Const) and not arg.value:
             return ONE
         return Apply("cos", arg)
     if fn == "arctan":
-        if isinstance(arg, Const) and arg.value == 0:
+        if isinstance(arg, Const) and not arg.value:
             return ZERO
         return Apply("arctan", arg)
     return Apply(fn, arg)
@@ -345,4 +359,4 @@ def _simplify_apply(fn: str, arg: Expr) -> Expr:
 
 def is_structural_zero(e: Expr) -> bool:
     s = simplify(e)
-    return isinstance(s, Const) and s.value == 0
+    return isinstance(s, Const) and not s.value

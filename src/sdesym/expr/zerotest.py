@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .evaluate import Kernel
-from .nodes import Context, Expr, VarId, VarKind, free_params, free_vars
+from .nodes import Const, Context, Expr, Neg, VarId, VarKind, add, free_params, free_vars
 from .simplify import simplify
 
 DEFAULT_TOL = 1e-9
@@ -103,10 +103,8 @@ def is_identically_zero(
 ) -> ZeroVerdict:
     config = config or ZeroTestConfig()
     s = simplify(e)
-    from .nodes import Const
-
     if isinstance(s, Const):
-        if s.value == 0:
+        if not s.value:
             return ZeroVerdict("zero", "structural", tol=config.tol)
         value = float(s.value)
         # a literal constant is still judged against the tolerance: float
@@ -194,6 +192,4 @@ def expressions_equal(
     config: Optional[ZeroTestConfig] = None,
 ) -> ZeroVerdict:
     """Zero test of a - b: sampled equality of two expressions."""
-    from .nodes import Neg, add
-
     return is_identically_zero(add(a, Neg(b)), ctx, config)

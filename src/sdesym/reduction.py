@@ -508,6 +508,8 @@ def transform_W(
             )
     S_t: Matrix = tuple(tuple(row) for row in S)
 
+    lap_Phi = [ito_laplacian(Phi[j], S_t, ctx) for j in range(ctx.n)]
+    lap_H = [ito_laplacian(H[k], S_t, ctx) for k in range(ctx.m)]
     F = []
     for i in range(ctx.n):
         pieces = []
@@ -515,14 +517,11 @@ def transform_W(
             inner = add(
                 f_t[j],
                 Neg(differentiate(Phi[j], TIME)),
-                Neg(mul(HALF, ito_laplacian(Phi[j], S_t, ctx))),
+                Neg(mul(HALF, lap_Phi[j])),
                 *(
                     mul(
                         s_t[j][k],
-                        add(
-                            differentiate(H[k], TIME),
-                            mul(HALF, ito_laplacian(H[k], S_t, ctx)),
-                        ),
+                        add(differentiate(H[k], TIME), mul(HALF, lap_H[k])),
                     )
                     for k in range(ctx.m)
                 ),

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expi
 from scipy.stats import qmc
 
@@ -54,6 +56,70 @@ def test_structural_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != parse("x1 + 2*w1", CTX)
+
+
+# numbers a constant may be built from: ints, exact rationals with large
+# and negative parts, floats with their edge values, and a numpy float64
+_CONST_NUMBERS = st.one_of(
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.integers(min_value=1, max_value=10**40),
+    ),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+
+
+def _relatives(v):
+    """Numbers that equal v numerically, some of them of another type."""
+    out = [v]
+    if isinstance(v, float) and math.isfinite(v):
+        out += [-v if v == 0 else v, float(v), np.float64(v), Fraction(float(v))]
+    if isinstance(v, (int, Fraction)):
+        f = Fraction(v)
+        out += [f, Fraction(f.numerator * 6, f.denominator * 6), float(f)]
+        if f.denominator == 1:
+            out.append(int(f))
+    return out
+
+
+_CONST_PAIRS = _CONST_NUMBERS.flatmap(
+    lambda a: st.tuples(st.just(a), st.one_of(st.sampled_from(_relatives(a)), _CONST_NUMBERS))
+)
+
+
+@given(_CONST_PAIRS)
+@settings(max_examples=400, deadline=None)
+def test_const_equality_and_hash_contract(pair):
+    # equal constants are the same number of the same type; ints are
+    # rationals, a float never equals a rational, and NaN equals nothing
+    a, b = pair
+    a_value, b_value = (Fraction(v) if isinstance(v, int) else v for v in pair)
+    same = type(a_value) is type(b_value) and a_value == b_value
+    assert (Const(a) == Const(b)) is same
+    if same:
+        assert hash(Const(a)) == hash(Const(b))
+
+
+def test_simplify_never_hashes_a_fraction(monkeypatch):
+    from sdesym.expr.simplify import _cache
+
+    calls = []
+    original = Fraction.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return original(self)
+
+    _cache.clear()  # start cold, so every tree is built and simplified here
+    differentiate.cache_clear()
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    for tree in simplify_cases(12345, 200):
+        simplify(tree)
+    assert calls == []
 
 
 def test_var_identity():

@@ -1,8 +1,8 @@
-"""Every name a program module imports is used in that module.
+"""Every name a program module or script imports is used in that file.
 
-An AST scan over ``src/sdesym`` that needs nothing beyond the standard
-library.  Package ``__init__.py`` files are skipped: their imports are the
-package's re-exports."""
+An AST scan over ``src/sdesym`` and ``scripts`` that needs nothing beyond
+the standard library.  Package ``__init__.py`` files are skipped: their
+imports are the package's re-exports."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sdesym"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((PACKAGE.parents[1] / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -36,4 +37,9 @@ def test_the_scan_finds_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_uses_every_import(path):
     assert unused_imports(path.read_text()) == []

@@ -266,6 +266,25 @@ def test_split_map_stays_ito_quick():
         assert transform_W(sys_r, cov).ito_like is True
 
 
+def test_transform_W_computes_each_laplacian_once(monkeypatch):
+    import sdesym.reduction
+
+    rng = np.random.default_rng(5)
+    sys_r, cov = random_split_map_case(rng)
+    while sys_r.ctx.n != 2:
+        sys_r, cov = random_split_map_case(rng)
+    calls = []
+    original = sdesym.reduction.ito_laplacian
+
+    def counting_laplacian(u, sigma, ctx):
+        calls.append(u)
+        return original(u, sigma, ctx)
+
+    monkeypatch.setattr(sdesym.reduction, "ito_laplacian", counting_laplacian)
+    transform_W(sys_r, cov)
+    assert len(calls) == 4  # one per component of Phi and of H
+
+
 def test_identity_w_map():
     b = bundle("linear_additive")
     cov = ChangeOfVariables(
