@@ -6,6 +6,12 @@ Rational constants are kept exact (fractions.Fraction); floats only appear
 when a literal was written as a float or a numeric evaluation happened.
 Constants of different number types never compare equal, so 0.5 and 1/2
 stay distinct trees.
+
+Immutability is kept by test, not by a ``__setattr__`` guard, which would
+send every slot assignment through ``object.__setattr__``, the largest
+part of building a node: constructors assign their slots directly, and
+``tests/test_node_slots.py`` fails if any other module assigns to a node
+slot.  ``state`` and ``wiener`` return one ``VarId`` per index.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Tuple, Union
 
 Number = Union[int, float, Fraction]
@@ -52,10 +59,12 @@ class VarId:
         return f"VarId({self.name})"
 
 
+@lru_cache(maxsize=None)
 def state(i: int) -> VarId:
     return VarId(VarKind.STATE, i)
 
 
+@lru_cache(maxsize=None)
 def wiener(k: int) -> VarId:
     return VarId(VarKind.WIENER, k)
 
@@ -107,19 +116,13 @@ def _coerce(value) -> "Expr":
 
 
 class Expr:
-    """Base class. Instances are immutable; arithmetic operators build trees."""
+    """Base class. Instances are never changed after construction;
+    arithmetic operators build trees."""
 
     __slots__ = ("_hash", "_key")
 
-    def _init_meta(self, h: int):
-        object.__setattr__(self, "_hash", h)
-        object.__setattr__(self, "_key", None)
-
     def __hash__(self):
         return self._hash
-
-    def __setattr__(self, name, value):
-        raise AttributeError("expressions are immutable")
 
     # -- arithmetic sugar ------------------------------------------------
     def __add__(self, other):
@@ -164,7 +167,7 @@ class Expr:
         key = self._key
         if key is None:
             key = self._compute_key()
-            object.__setattr__(self, "_key", key)
+            self._key = key
         return key
 
     def _compute_key(self):  # pragma: no cover - overridden
@@ -187,8 +190,9 @@ class Const(Expr):
             h = hash(("Const", value))
         else:
             raise TypeError(f"constant must be rational or float, got {value!r}")
-        object.__setattr__(self, "value", value)
-        self._init_meta(h)
+        self.value = value
+        self._hash = h
+        self._key = None
 
     def __eq__(self, other):
         if not isinstance(other, Const):
@@ -210,8 +214,9 @@ class Var(Expr):
     __slots__ = ("var",)
 
     def __init__(self, var: VarId):
-        object.__setattr__(self, "var", var)
-        self._init_meta(hash(("Var", var)))
+        self.var = var
+        self._hash = hash(("Var", var))
+        self._key = None
 
     def __eq__(self, other):
         return isinstance(other, Var) and self.var == other.var
@@ -228,8 +233,9 @@ class Param(Expr):
     def __init__(self, name: str):
         if not name.isidentifier():
             raise ValueError(f"bad parameter name {name!r}")
-        object.__setattr__(self, "name", name)
-        self._init_meta(hash(("Param", name)))
+        self.name = name
+        self._hash = hash(("Param", name))
+        self._key = None
 
     def __eq__(self, other):
         return isinstance(other, Param) and self.name == other.name
@@ -246,9 +252,10 @@ class Apply(Expr):
     def __init__(self, fn: str, arg: Expr):
         if fn not in BUILTINS:
             raise ValueError(f"unknown builtin {fn!r}")
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "arg", arg)
-        self._init_meta(hash(("Apply", fn, arg)))
+        self.fn = fn
+        self.arg = arg
+        self._hash = hash(("Apply", fn, arg))
+        self._key = None
 
     def __eq__(self, other):
         return isinstance(other, Apply) and self.fn == other.fn and self.arg == other.arg
@@ -263,9 +270,10 @@ class Power(Expr):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: Expr):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-        self._init_meta(hash(("Power", base, exponent)))
+        self.base = base
+        self.exponent = exponent
+        self._hash = hash(("Power", base, exponent))
+        self._key = None
 
     def __eq__(self, other):
         return (
@@ -284,8 +292,9 @@ class Neg(Expr):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-        self._init_meta(hash(("Neg", arg)))
+        self.arg = arg
+        self._hash = hash(("Neg", arg))
+        self._key = None
 
     def __eq__(self, other):
         return isinstance(other, Neg) and self.arg == other.arg
@@ -303,8 +312,9 @@ class Product(Expr):
         factors = tuple(factors)
         if len(factors) < 2:
             raise ValueError("a product needs at least two factors")
-        object.__setattr__(self, "factors", factors)
-        self._init_meta(hash(("Product",) + factors))
+        self.factors = factors
+        self._hash = hash(("Product",) + factors)
+        self._key = None
 
     def __eq__(self, other):
         return isinstance(other, Product) and self.factors == other.factors
@@ -322,8 +332,9 @@ class Sum(Expr):
         terms = tuple(terms)
         if len(terms) < 2:
             raise ValueError("a sum needs at least two terms")
-        object.__setattr__(self, "terms", terms)
-        self._init_meta(hash(("Sum",) + terms))
+        self.terms = terms
+        self._hash = hash(("Sum",) + terms)
+        self._key = None
 
     def __eq__(self, other):
         return isinstance(other, Sum) and self.terms == other.terms
@@ -346,10 +357,11 @@ class AntiDeriv(Expr):
     __slots__ = ("integrand", "var", "base")
 
     def __init__(self, integrand: Expr, var: VarId, base: float = 1.0):
-        object.__setattr__(self, "integrand", integrand)
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "base", float(base))
-        self._init_meta(hash(("AntiDeriv", integrand, var, base)))
+        self.integrand = integrand
+        self.var = var
+        self.base = float(base)
+        self._hash = hash(("AntiDeriv", integrand, var, base))
+        self._key = None
 
     def __eq__(self, other):
         return (

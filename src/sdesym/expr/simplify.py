@@ -12,6 +12,14 @@ so one pass suffices and a result is cached as its own simplification.  A
 rule that breaks this must be fixed where it happens, not papered over with
 a second pass; ``scripts/simplify_fixpoint_probe.py`` checks it on
 generated trees.
+
+A product with a zero constant factor (``Const(0)``, ``Const(0.0)`` or
+``Const(-0.0)``) is exact ``ZERO`` before anything else is done to it: its
+other factors are neither simplified nor expanded over their sums.  Every
+such product ended as ``ZERO`` anyway; the rule only skips the work, which
+the operators and the Ito Laplacian would otherwise spend on the zero
+entries they multiply in.  (Under generic-point semantics 0 * u is 0 even
+where u is undefined, as x^a * x^-a is 1.)
 """
 
 from __future__ import annotations
@@ -69,6 +77,8 @@ def _simplify(e: Expr) -> Expr:
     if isinstance(e, Sum):
         return _simplify_sum([simplify(t) for t in e.terms])
     if isinstance(e, Product):
+        if _has_zero_factor(e.factors):
+            return ZERO
         return _simplify_product([simplify(f) for f in e.factors])
     if isinstance(e, Power):
         return _simplify_power(simplify(e.base), simplify(e.exponent))
@@ -77,6 +87,13 @@ def _simplify(e: Expr) -> Expr:
     if isinstance(e, AntiDeriv):
         return AntiDeriv(simplify(e.integrand), e.var, e.base)
     raise TypeError(f"unknown node {e!r}")
+
+
+def _has_zero_factor(factors) -> bool:
+    for factor in factors:
+        if isinstance(factor, Const) and not factor.value:
+            return True
+    return False
 
 
 def _times(coeff, value):
@@ -156,6 +173,8 @@ def _simplify_product(factors: List[Expr]) -> Expr:
             flat.extend(factor.factors)
         else:
             flat.append(factor)
+    if _has_zero_factor(flat):
+        return ZERO
     expanded = _distribute(flat)
     if expanded is not None:
         return expanded
@@ -165,8 +184,6 @@ def _simplify_product(factors: List[Expr]) -> Expr:
     order: List[Expr] = []
     for factor in flat:
         if isinstance(factor, Const):
-            if not factor.value:
-                return ZERO
             coeff = _times(coeff, factor.value)
             continue
         if isinstance(factor, Apply) and factor.fn == "exp":

@@ -152,10 +152,19 @@ class ChangeOfVariables:
             self.wiener_map = np.atleast_2d(np.asarray(self.wiener_map, dtype=float))
             if self.wiener_map.shape != (self.ctx.m, self.ctx.m):
                 raise ReductionError(f"wiener map must be {self.ctx.m} x {self.ctx.m}")
-        if self.wiener_forward is not None:
+        if self.wiener_map is not None and self.direction == "new_to_old":
+            # H is derived from R, never kept beside it: a stale H left by
+            # dataclasses.replace(cov, wiener_map=...) is refused
+            derived = LinearW.from_matrix(self.wiener_map).h_exprs()
+            if self.wiener_forward is not None and (
+                tuple(simplify(h) for h in self.wiener_forward) != derived
+            ):
+                raise ReductionError(
+                    "wiener_forward disagrees with wiener_map; pass only the map"
+                )
+            self.wiener_forward = derived
+        elif self.wiener_forward is not None:
             self.wiener_forward = tuple(self.wiener_forward)
-        elif self.wiener_map is not None and self.direction == "new_to_old":
-            self.wiener_forward = LinearW.from_matrix(self.wiener_map).h_exprs()
 
     @property
     def jacobian(self) -> Matrix:

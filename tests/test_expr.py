@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import json
 import math
@@ -130,6 +131,16 @@ def test_var_identity():
         state(0)
 
 
+def test_var_ids_are_one_object_per_index():
+    assert state(1) is state(1)
+    assert wiener(2) is wiener(2)
+    assert state(1) is not wiener(1)
+    for bad in (state, wiener):
+        for _ in range(2):  # a refused index is not remembered
+            with pytest.raises(ValueError):
+                bad(0)
+
+
 def test_context_bounds():
     with pytest.raises(ValueError):
         Context(n=0, m=1)
@@ -260,6 +271,51 @@ def test_simplify_value_preserving_bulk():
                 continue
             assert abs(v0 - v1) <= 1e-12 * (1.0 + mag)
             points += 1
+
+
+def _large_unsimplified_sum():
+    # fresh terms, so nothing of it is in the simplify cache yet
+    x1, x2, t = (Var(v) for v in (state(1), state(2), TIME))
+    terms = [
+        mul(Const(Fraction(k, 13)), Power(add(x1, t), Const(k % 4 + 2)), x2) for k in range(40)
+    ]
+    return Sum(tuple(terms) + (Neg(Power(add(x1, x2), Const(3))),))
+
+
+@pytest.mark.parametrize("zero", [Const(0), Const(0.0), Const(-0.0)], ids=["0", "0.0", "-0.0"])
+def test_product_with_a_zero_factor_is_zero_without_expanding(zero):
+    from sdesym.expr.simplify import _cache
+
+    big = _large_unsimplified_sum()
+    assert big not in _cache
+    before = len(_cache)
+    for product in (Product((big, zero)), Product((zero, big, Var(TIME)))):
+        assert simplify(product) is ZERO  # exact, whatever the zero's number type
+    assert big not in _cache
+    assert len(_cache) <= before + 3  # the two products and ZERO itself
+
+
+def test_a_factor_that_simplifies_to_zero_skips_the_expansion(monkeypatch):
+    simplify_module = importlib.import_module("sdesym.expr.simplify")
+    distribute = simplify_module._distribute
+
+    def refuse_zero(flat):
+        assert not any(isinstance(f, Const) and not f.value for f in flat), "zero expanded"
+        return distribute(flat)
+
+    x1 = Var(state(1))
+    product = Product((add(x1, Neg(x1)), add(x1, Var(TIME)), add(x1, Var(wiener(1)))))
+    simplify_module._cache.clear()
+    monkeypatch.setattr(simplify_module, "_distribute", refuse_zero)
+    assert simplify(product) is ZERO
+
+
+def test_generated_trees_times_zero_are_zero():
+    t = Var(TIME)
+    for tree in simplify_cases(2718, 400):
+        for zero in (Const(0), Const(0.0)):
+            assert simplify(Product((tree, zero))) is ZERO
+            assert simplify(Product((zero, tree, t))) is ZERO
 
 
 SIMPLIFY_ORACLE = json.loads((Path(__file__).parent / "simplify_oracle.json").read_text())

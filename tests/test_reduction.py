@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -296,6 +298,22 @@ def test_identity_w_map():
     assert expressions_equal(g.F[0], b.system.drift[0], b.ctx).is_zero
     assert expressions_equal(g.S[0][0], b.system.sigma[0][0], b.ctx).is_zero
     assert g.ito_like is True
+
+
+def test_wiener_forward_is_derived_from_the_wiener_map():
+    cov = ChangeOfVariables(SCALAR, (parse("x", SCALAR),), direction="new_to_old",
+                            wiener_map=[[2.0]])
+    assert [to_string(h) for h in cov.wiener_forward] == ["2*w1"]
+    # a copy with a new map would keep the old H: it is refused, not used
+    with pytest.raises(ReductionError, match="wiener_forward"):
+        replace(cov, wiener_map=[[3.0]])
+    fresh = replace(cov, wiener_map=[[3.0]], wiener_forward=None)
+    assert [to_string(h) for h in fresh.wiener_forward] == ["3*w1"]
+    # an H that agrees with R is accepted, written in any form
+    same = ChangeOfVariables(SCALAR, (parse("x", SCALAR),), direction="new_to_old",
+                             wiener_map=[[2.0]], wiener_forward=(parse("w + w", SCALAR),))
+    assert same.wiener_forward == cov.wiener_forward
+    assert replace(cov, inverse=(parse("x", SCALAR),)).wiener_forward == cov.wiener_forward
 
 
 # ---------------------------------------------------------------------------
