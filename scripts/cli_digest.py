@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 digest per CLI report, for byte-identity checks.
+
+Runs each command below in a fresh interpreter on the checkout that holds
+this script (``python -m sdesym.cli`` with that checkout's ``src`` on the
+path) and prints one line per command: the digest of stdout, the exit code,
+the digest of stderr, and the command.  The bundled model directory is
+written as ``<models>`` before hashing, so no line depends on where the
+checkout lives.  Run it on two checkouts and diff the outputs:
+
+    python scripts/cli_digest.py > before.txt   # in one checkout
+    python scripts/cli_digest.py > after.txt    # in the other
+    diff before.txt after.txt
+
+The commands: ``check --force --json`` on every bundled model at
+``--seed 0`` and ``--seed 7``, ``examples --json``, two ``reduce --json``
+runs with the built-in adapted maps and two ``integrate --json`` runs.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODELS = ROOT / "src" / "sdesym" / "models"
+
+
+def commands():
+    for model in sorted(p.stem for p in MODELS.glob("*.model")):
+        for seed in ("0", "7"):
+            yield ["check", "--model", model, "--force", "--json", "--seed", seed]
+    yield ["examples", "--json"]
+    yield ["reduce", "--json", "--model", "isotropic_nonlinear_oscillator",
+           "--field", "rotation", "--cov", "builtin:rotation"]
+    yield ["reduce", "--json", "--model", "linear_additive",
+           "--field", "scaling", "--cov", "builtin:scaling"]
+    yield ["integrate", "--json", "--model", "exp_decay_diffusion", "--field", "shift"]
+    yield ["integrate", "--json", "--model", "exponential_drift", "--field", "random",
+           "--x0", "0.0", "--paths", "1500", "--horizon", "0.3"]
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data.replace(str(MODELS).encode(), b"<models>")).hexdigest()
+
+
+def main() -> int:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv in commands():
+        done = subprocess.run(
+            [sys.executable, "-m", "sdesym.cli", *argv],
+            cwd=ROOT, env=env, capture_output=True,
+        )
+        print(f"{digest(done.stdout)} exit={done.returncode} "
+              f"stderr={digest(done.stderr)[:16]} {' '.join(argv)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

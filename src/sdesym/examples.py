@@ -162,7 +162,9 @@ def random_split_map_case(rng: np.random.Generator) -> Tuple[ItoSystem, ChangeOf
     lam = float(rng.uniform(0.3, 1.2))
     A = rng.uniform(-1.0, 1.0, size=(m, m))
     R = lam * np.eye(m) + (A - A.T) / 2.0
-    cov = ChangeOfVariables(ctx, tuple(forward), direction="new_to_old", wiener_map=R)
+    cov = ChangeOfVariables(
+        ctx, tuple(forward), direction="new_to_old", wiener=LinearW.from_matrix(R)
+    )
     return sys_r, cov
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.stats import qmc
@@ -94,6 +94,17 @@ class ZeroVerdict:
             out["witness_point"] = self.witness_point
             out["witness_value"] = self.witness_value
         return out
+
+
+def all_zero(verdicts: Iterable[ZeroVerdict]) -> Optional[bool]:
+    """One reading of a set of zero tests: False if any is nonzero (a
+    witness decides), else None if any is inconclusive, else True."""
+    verdicts = list(verdicts)
+    if any(v.is_nonzero for v in verdicts):
+        return False
+    if any(v.status == "inconclusive" for v in verdicts):
+        return None
+    return True
 
 
 def is_identically_zero(

@@ -225,12 +225,12 @@ def load_model(source: Union[str, Path], text: Optional[str] = None) -> ModelBun
                 inverse = tuple(
                     expr_of(section, f"inverse{i}", where) for i in range(1, n + 1)
                 )
-            wiener_map = None
+            wiener = None
             if "R" in section:
-                wiener_map = _parse_matrix(section["R"], m, where)
+                wiener = LinearW.from_matrix(_parse_matrix(section["R"], m, where))
             try:
                 bundle.covs[name] = ChangeOfVariables(
-                    ctx, forward, direction=direction, wiener_map=wiener_map, inverse=inverse
+                    ctx, forward, direction=direction, wiener=wiener, inverse=inverse
                 )
             except ReductionError as err:
                 raise ModelFileError(f"{where}: {err}") from None

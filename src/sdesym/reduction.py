@@ -31,6 +31,7 @@ from .expr import (
     Neg,
     ONE,
     Power,
+    Sum,
     TIME,
     Var,
     VarKind,
@@ -38,11 +39,13 @@ from .expr import (
     ZeroTestConfig,
     ZeroVerdict,
     add,
+    all_zero,
     differentiate,
     div,
     free_vars,
     is_identically_zero,
     mul,
+    negate,
     simplify,
     state,
     subst_many,
@@ -53,6 +56,7 @@ from .sde import ItoSystem, ito_laplacian, transport_operator, shift_operator
 from .symmetry import (
     GeneralH,
     LinearW,
+    Noise,
     SymmetryReport,
     VectorField,
     residuals,
@@ -126,18 +130,18 @@ class ChangeOfVariables:
     direction 'old_to_new': forward[i] expresses the i-th new state in the
     old variables (used for standard changes of variables).
     direction 'new_to_old': forward[i] expresses the i-th old state in the
-    new variables; wiener_forward[k] expresses the k-th old Wiener variable
-    in the new variables (identity when only wiener_map R is given, meaning
-    w_old = R z_new).  ``inverse`` / ``inverse_drivers`` give the opposite
+    new variables, and ``wiener`` expresses the old Wiener variables in the
+    new ones, w = H(y,t;z), in the families of ``VectorField.noise``: a
+    ``LinearW`` R is w = R z and keeps the new drivers Wiener, a ``GeneralH``
+    is any H.  ``inverse`` / ``inverse_drivers`` give the opposite
     direction for the states / driver coordinates when known.
     """
 
     ctx: Context
     forward: Vector
     direction: str = "old_to_new"
-    wiener_map: Optional[np.ndarray] = None
+    wiener: Noise = None
     inverse: Optional[Vector] = None
-    wiener_forward: Optional[Vector] = None
     inverse_drivers: Optional[Vector] = None
 
     def __post_init__(self):
@@ -148,23 +152,11 @@ class ChangeOfVariables:
             raise ReductionError("direction must be 'old_to_new' or 'new_to_old'")
         if self.inverse is not None:
             self.inverse = tuple(self.inverse)
-        if self.wiener_map is not None:
-            self.wiener_map = np.atleast_2d(np.asarray(self.wiener_map, dtype=float))
-            if self.wiener_map.shape != (self.ctx.m, self.ctx.m):
-                raise ReductionError(f"wiener map must be {self.ctx.m} x {self.ctx.m}")
-        if self.wiener_map is not None and self.direction == "new_to_old":
-            # H is derived from R, never kept beside it: a stale H left by
-            # dataclasses.replace(cov, wiener_map=...) is refused
-            derived = LinearW.from_matrix(self.wiener_map).h_exprs()
-            if self.wiener_forward is not None and (
-                tuple(simplify(h) for h in self.wiener_forward) != derived
-            ):
-                raise ReductionError(
-                    "wiener_forward disagrees with wiener_map; pass only the map"
-                )
-            self.wiener_forward = derived
-        elif self.wiener_forward is not None:
-            self.wiener_forward = tuple(self.wiener_forward)
+        m = self.ctx.m
+        if isinstance(self.wiener, LinearW) and self.wiener.matrix.shape != (m, m):
+            raise ReductionError(f"wiener map must be {m} x {m}")
+        if isinstance(self.wiener, GeneralH) and len(self.wiener.h) != m:
+            raise ReductionError(f"wiener map must have m = {m} components")
 
     @property
     def jacobian(self) -> Matrix:
@@ -332,8 +324,7 @@ def compatibility_check(
         )
     )
     verdict = is_identically_zero(add(lhs, Neg(rhs)), ctx, config)
-    compatible = True if verdict.is_zero else (False if verdict.is_nonzero else None)
-    return CompatibilityResult(compatible, gamma, lhs, rhs, verdict)
+    return CompatibilityResult(all_zero([verdict]), gamma, lhs, rhs, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +387,7 @@ def transform_ito(
     config = config or ZeroTestConfig()
     if cov.direction != "old_to_new":
         raise ReductionError("transform_ito expects an old_to_new map")
-    if cov.wiener_map is not None:
+    if cov.wiener is not None:
         raise ReductionError("transform_ito handles maps that fix the Wiener variables")
     sys.require("ito", "transform_ito")
     ctx = sys.ctx
@@ -406,9 +397,6 @@ def transform_ito(
         for phi_i in cov.forward
     ]
     preservation = ito_preservation_check(sys, cov, config)
-    ito_like = all(v.is_zero for v in preservation)
-    if any(v.status == "inconclusive" for v in preservation):
-        ito_like = None
     expressed_in = "old"
     if cov.inverse is not None:
         mapping = {state(i + 1): cov.inverse[i] for i in range(ctx.n)}
@@ -421,7 +409,7 @@ def transform_ito(
         tuple(tuple(row) for row in S),
         driving="wiener",
         expressed_in=expressed_in,
-        ito_like=ito_like,
+        ito_like=all_zero(preservation),
         ito_like_detail=preservation,
     )
 
@@ -453,108 +441,80 @@ def transform_W(
     """Transform under a map acting on the Wiener sector, given new-to-old
     maps x = Phi(y,t;z) and w = H(y,t;z).
 
-    The new drivers are treated as formally Wiener (dz^m dz^p = delta dt)
-    and the postulated equation dy = F dt + S dz is solved for S and F by
-    matching the dz and dt coefficients of the Ito expansions of Phi and H
-    inserted into the original equation.  For the constant conformal case
-    H = R z this reduces to
+    The postulated equation dy = F dt + S dz is solved for S and F by
+    inserting the Ito expansions of Phi and H into dx = f dt + sigma dw.
+    With f~, sigma~ the coefficients at x = Phi, write
+    M(op)^i = op(Phi^i) - sigma~^i_k op(H^k) and A^i_j = M(d_{y^j})^i.
+    The dz and dt coefficients then match when
 
-        S^i_m = Lambda^i_j (sigma~^j_k R^k_m - d_{z^m} Phi^j),
-        F^i   = Lambda^i_j (f~^j - d_t Phi^j - (1/2) Delta Phi^j),
+        A^i_j S^j_m = -M(d_{z^m})^i,
+        A^i_j F^j   = f~^i - M(d_t + (1/2) Delta)^i,
 
-    with Delta taken in the new variables using the solved S.
+    with Delta the Ito Laplacian in the new variables under the solved S.
+    The new drivers are taken with unit covariance, dz^m dz^p = delta dt,
+    which is exact only for an orthogonal R or a linear Phi: the covariance
+    of z = R^-1 w is R^-1 R^-T (ROADMAP, "A pathwise judge for
+    transform_W").  They count as Wiener only under a linear map w = R z.
     """
     config = config or ZeroTestConfig()
     if cov.direction != "new_to_old":
         raise ReductionError("transform_W expects a new_to_old map")
-    if cov.wiener_forward is None:
+    if cov.wiener is None:
         raise ReductionError("transform_W needs the Wiener-sector map")
     sys.require("ito", "transform_W")
     ctx = sys.ctx
     Phi = cov.forward
-    H = cov.wiener_forward
+    H = cov.wiener.h_exprs()
     mapping = {state(i + 1): Phi[i] for i in range(ctx.n)}
     f_t = [simplify(subst_many(e, mapping)) for e in sys.drift]
     s_t = [[simplify(subst_many(e, mapping)) for e in row] for row in sys.sigma]
 
-    # A^i_j = d_j Phi^i - sigma~^i_k d_j H^k
-    A = []
-    for i in range(ctx.n):
-        row = []
-        for j in range(1, ctx.n + 1):
-            row.append(
-                simplify(
-                    add(
-                        differentiate(Phi[i], state(j)),
-                        *(
-                            Neg(mul(s_t[i][k], differentiate(H[k], state(j))))
-                            for k in range(ctx.m)
-                        ),
-                    )
-                )
-            )
-        A.append(tuple(row))
-    Ainv = sym_inverse(A)
+    def matched(op) -> List[Expr]:
+        """op(Phi^i) - sigma~^i_k op(H^k), running op once per component."""
+        op_Phi, op_H = [op(u) for u in Phi], [op(u) for u in H]
+        return [
+            add(op_Phi[i], *(Neg(mul(s_t[i][k], op_H[k])) for k in range(ctx.m)))
+            for i in range(ctx.n)
+        ]
 
-    S: List[List[Expr]] = []
-    for i in range(ctx.n):
-        S.append([ZERO] * ctx.m)
-    for mcol in range(1, ctx.m + 1):
-        rhs = []
-        for j in range(ctx.n):
-            rhs.append(
-                add(
-                    *(
-                        mul(s_t[j][k], differentiate(H[k], wiener(mcol)))
-                        for k in range(ctx.m)
-                    ),
-                    Neg(differentiate(Phi[j], wiener(mcol))),
-                )
-            )
-        for i in range(ctx.n):
-            S[i][mcol - 1] = simplify(
-                add(*(mul(Ainv[i][j], rhs[j]) for j in range(ctx.n)))
-            )
-    S_t: Matrix = tuple(tuple(row) for row in S)
+    def d(v):
+        return lambda u: differentiate(u, v)
 
-    lap_Phi = [ito_laplacian(Phi[j], S_t, ctx) for j in range(ctx.n)]
-    lap_H = [ito_laplacian(H[k], S_t, ctx) for k in range(ctx.m)]
-    F = []
-    for i in range(ctx.n):
-        pieces = []
-        for j in range(ctx.n):
-            inner = add(
-                f_t[j],
-                Neg(differentiate(Phi[j], TIME)),
-                Neg(mul(HALF, lap_Phi[j])),
-                *(
-                    mul(
-                        s_t[j][k],
-                        add(differentiate(H[k], TIME), mul(HALF, lap_H[k])),
-                    )
-                    for k in range(ctx.m)
-                ),
-            )
-            pieces.append(mul(Ainv[i][j], inner))
-        F.append(simplify(add(*pieces)))
+    def minus(e: Expr) -> Expr:
+        """-e term by term: a Neg around a sum would be simplified as a
+        nested sum and then merged a second time into the sum around it."""
+        return add(*(negate(t) for t in (e.terms if isinstance(e, Sum) else (e,))))
 
+    columns = [matched(d(state(j))) for j in range(1, ctx.n + 1)]
+    Ainv = sym_inverse([[simplify(col[i]) for col in columns] for i in range(ctx.n)])
+
+    def solve(rhs: List[Expr]) -> List[Expr]:
+        """A^-1 rhs"""
+        return [
+            simplify(add(*(mul(Ainv[i][j], rhs[j]) for j in range(ctx.n))))
+            for i in range(ctx.n)
+        ]
+
+    S_cols = [solve([minus(e) for e in matched(d(wiener(m)))]) for m in range(1, ctx.m + 1)]
+    S: Matrix = tuple(zip(*S_cols))
+
+    def drift_op(u: Expr) -> Expr:
+        return add(differentiate(u, TIME), mul(HALF, ito_laplacian(u, S, ctx)))
+
+    F = solve([add(f, minus(e)) for f, e in zip(f_t, matched(drift_op))])
+
+    wiener_drivers = isinstance(cov.wiener, LinearW)
     gsde = GeneralSDE(
         ctx,
         tuple(F),
-        S_t,
-        driving="wiener" if cov.wiener_map is not None else "transformed drivers",
+        S,
+        driving="wiener" if wiener_drivers else "transformed drivers",
         expressed_in="new",
     )
-    dependence = [
+    gsde.ito_like_detail = [
         v for k in range(1, ctx.m + 1) for v in gsde.coefficient_dependence(wiener(k), config)
     ]
-    gsde.ito_like_detail = dependence
-    if any(v.is_nonzero for v in dependence):
-        gsde.ito_like = False
-    elif all(v.is_zero for v in dependence):
-        gsde.ito_like = gsde.driving == "wiener"
-    else:
-        gsde.ito_like = None
+    gsde.ito_like = all_zero(gsde.ito_like_detail) and wiener_drivers
     return gsde
 
 
@@ -669,9 +629,7 @@ def scaling_adapted_cov(ctx: Context) -> Tuple[ChangeOfVariables, List[Expr]]:
     forward = [e1]
     for i in range(2, ctx.n + 1):
         forward.append(simplify(mul(e1, Var(state(i)))))
-    wiener_forward = tuple(
-        simplify(mul(e1, Var(wiener(k)))) for k in range(1, ctx.m + 1)
-    )
+    H = GeneralH(simplify(mul(e1, Var(wiener(k)))) for k in range(1, ctx.m + 1))
     inverse = [Apply("log", Var(state(1)))]
     for i in range(2, ctx.n + 1):
         inverse.append(simplify(div(Var(state(i)), Var(state(1)))))
@@ -682,8 +640,8 @@ def scaling_adapted_cov(ctx: Context) -> Tuple[ChangeOfVariables, List[Expr]]:
         ctx,
         tuple(forward),
         direction="new_to_old",
+        wiener=H,
         inverse=tuple(inverse),
-        wiener_forward=wiener_forward,
         inverse_drivers=inverse_drivers,
     )
     return cov, list(cov.inverse) + list(inverse_drivers)
@@ -704,10 +662,7 @@ def rotation_adapted_cov(ctx: Context) -> Tuple[ChangeOfVariables, List[Expr]]:
         simplify(mul(r, Apply("cos", add(psi, xi)))),
         simplify(mul(r, Apply("sin", add(psi, xi)))),
     )
-    wiener_forward = (
-        simplify(mul(z, Apply("cos", xi))),
-        simplify(mul(z, Apply("sin", xi))),
-    )
+    H = GeneralH((simplify(mul(z, Apply("cos", xi))), simplify(mul(z, Apply("sin", xi)))))
     x1, x2 = Var(state(1)), Var(state(2))
     w1, w2 = Var(wiener(1)), Var(wiener(2))
     theta = Apply("arctan", div(x2, x1))
@@ -724,8 +679,8 @@ def rotation_adapted_cov(ctx: Context) -> Tuple[ChangeOfVariables, List[Expr]]:
         ctx,
         forward,
         direction="new_to_old",
+        wiener=H,
         inverse=inverse,
-        wiener_forward=wiener_forward,
         inverse_drivers=inverse_drivers,
     )
     return cov, list(inverse) + list(inverse_drivers)
@@ -855,16 +810,16 @@ def pushforward_split_W(X: VectorField, cov: ChangeOfVariables) -> VectorField:
     w = R_c z: the state part maps by Lambda, the Wiener action conjugates."""
     if not isinstance(X.noise, LinearW):
         raise ReductionError("expected a linear Wiener-acting field")
-    if cov.direction != "new_to_old" or cov.wiener_map is None:
+    if cov.direction != "new_to_old" or not isinstance(cov.wiener, LinearW):
         raise ReductionError("expected a new_to_old split map with a Wiener matrix")
     for component in cov.forward:
         if any(v.kind is VarKind.WIENER for v in free_vars(component)):
             raise ReductionError("split maps keep the state map Wiener-free")
     ctx = X.ctx
-    Rc = cov.wiener_map
+    Rc = cov.wiener.matrix
     lam = cov.lambda_
     mapping = {state(i + 1): cov.forward[i] for i in range(ctx.n)}
-    mapping.update((wiener(k + 1), cov.wiener_forward[k]) for k in range(ctx.m))
+    mapping.update((wiener(k + 1), h) for k, h in enumerate(cov.wiener.h_exprs()))
     phi = []
     for i in range(ctx.n):
         phi.append(

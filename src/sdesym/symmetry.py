@@ -39,6 +39,7 @@ from .expr import (
     ZeroTestConfig,
     ZeroVerdict,
     add,
+    all_zero,
     differentiate,
     free_vars,
     is_identically_zero,
@@ -67,6 +68,9 @@ class GeneralH:
 
     def __post_init__(self):
         object.__setattr__(self, "h", tuple(self.h))
+
+    def h_exprs(self) -> Vector:
+        return self.h
 
 
 @dataclass(frozen=True)
@@ -119,8 +123,6 @@ class VectorField:
     def noise_exprs(self) -> Vector:
         if self.noise is None:
             return tuple(ZERO for _ in range(self.ctx.m))
-        if isinstance(self.noise, GeneralH):
-            return self.noise.h
         return self.noise.h_exprs()
 
     def apply(self, u: Expr) -> Expr:
@@ -301,11 +303,8 @@ class SymmetryReport:
 
     @property
     def verdict(self) -> str:
-        if any(e.verdict.is_nonzero for e in self.entries):
-            return "not_symmetry"
-        if any(e.verdict.status == "inconclusive" for e in self.entries):
-            return "inconclusive"
-        return "symmetry"
+        zero = all_zero(e.verdict for e in self.entries)
+        return {True: "symmetry", False: "not_symmetry", None: "inconclusive"}[zero]
 
     @property
     def witness(self) -> Optional[dict]:
