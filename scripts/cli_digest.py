@@ -14,7 +14,11 @@ checkout lives.  Run it on two checkouts and diff the outputs:
 
 The commands: ``check --force --json`` on every bundled model at
 ``--seed 0`` and ``--seed 7``, ``examples --json``, two ``reduce --json``
-runs with the built-in adapted maps and two ``integrate --json`` runs.
+runs with the built-in adapted maps, two ``integrate --json`` runs, and
+``simulate`` on ``linear_additive`` (CSV on stdout and ``--json``),
+``isotropic_nonlinear_oscillator`` from ``--x0 10`` (2-D, some paths
+excluded), ``power_noise`` (some paths excluded) and
+``linear_strat_oscillator`` (Heun).
 """
 
 import hashlib
@@ -39,6 +43,12 @@ def commands():
     yield ["integrate", "--json", "--model", "exp_decay_diffusion", "--field", "shift"]
     yield ["integrate", "--json", "--model", "exponential_drift", "--field", "random",
            "--x0", "0.0", "--paths", "1500", "--horizon", "0.3"]
+    yield ["simulate", "--model", "linear_additive", "--paths", "2000", "--dt", "0.01"]
+    yield ["simulate", "--model", "linear_additive", "--paths", "2000", "--dt", "0.01", "--json"]
+    yield ["simulate", "--model", "isotropic_nonlinear_oscillator", "--x0", "10",
+           "--paths", "500", "--dt", "0.01", "--json"]
+    yield ["simulate", "--model", "power_noise", "--paths", "2000", "--dt", "0.01", "--json"]
+    yield ["simulate", "--model", "linear_strat_oscillator", "--paths", "2000", "--dt", "0.01", "--json"]
 
 
 def digest(data: bytes) -> str:

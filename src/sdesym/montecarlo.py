@@ -476,13 +476,39 @@ class StatsReport:
 
 
 def ensemble_stats(ens: Ensemble) -> StatsReport:
+    """Mean, sample variance (ddof 1) and standard error over the kept paths
+    at every snapshot; the variance is zero when one path is kept.
+
+    The history is reduced one snapshot at a time: the scratch is a few
+    (N', n) arrays for N' kept paths (one of them the snapshot's kept
+    rows), with no copy of ``ens.states`` and no temporary of its size.  The sums keep the order of
+    ``ens.states[:, kept].mean(axis=1)`` and ``.var(axis=1, ddof=1)``, so
+    the values equal those bit for bit: mean = S(x) / N' and
+    var = S((x - mean)^2) / (N' - 1), where S adds the kept paths one after
+    the other in path order (a cumulative sum), except for a single scalar
+    snapshot (K = n = 1), where S is numpy's pairwise sum of a contiguous
+    vector.
+    """
     include = ~ens.excluded
     n_eff = int(np.sum(include))
     if n_eff == 0:
         raise FlowError("all paths were excluded")
-    data = ens.states[:, include, :]
-    mean = data.mean(axis=1)
-    var = data.var(axis=1, ddof=1) if n_eff > 1 else np.zeros_like(mean)
+    K, _, n = ens.states.shape
+    pairwise = K * n == 1
+    partial = np.empty((n_eff, n))
+    dev = np.empty((n_eff, n))
+
+    def path_sum(x: np.ndarray) -> np.ndarray:
+        return x.sum(axis=0) if pairwise else np.cumsum(x, axis=0, out=partial)[-1]
+
+    mean = np.empty((K, n))
+    var = np.zeros((K, n))
+    for k in range(K):
+        x = ens.states[k][include]
+        mean[k] = path_sum(x) / n_eff
+        if n_eff > 1:
+            np.square(np.subtract(x, mean[k], out=dev), out=dev)
+            var[k] = path_sum(dev) / (n_eff - 1)
     se = np.sqrt(var / n_eff)
     return StatsReport(
         times=ens.times,
@@ -562,6 +588,10 @@ def symmetry_validation(
     include = ~(mapped.excluded | direct.excluded)
     frac_excluded = 1.0 - float(np.mean(include))
     n_eff = int(np.sum(include))
+    if n_eff < 2:
+        nan = np.full(sys.ctx.n, np.nan)
+        detail = f"{frac_excluded:.1%} of paths excluded, {n_eff} kept (< 2)"
+        return ValidationReport("inconclusive", nan, nan.copy(), math.nan, frac_excluded, detail)
     a = mapped.terminal_states()[include]
     b = direct.terminal_states()[include]
     se = np.sqrt(a.var(axis=0, ddof=1) / n_eff + b.var(axis=0, ddof=1) / n_eff)

@@ -153,7 +153,7 @@ class ChangeOfVariables:
         if self.inverse is not None:
             self.inverse = tuple(self.inverse)
         m = self.ctx.m
-        if isinstance(self.wiener, LinearW) and self.wiener.matrix.shape != (m, m):
+        if isinstance(self.wiener, LinearW) and not self.wiener.is_square(m):
             raise ReductionError(f"wiener map must be {m} x {m}")
         if isinstance(self.wiener, GeneralH) and len(self.wiener.h) != m:
             raise ReductionError(f"wiener map must have m = {m} components")

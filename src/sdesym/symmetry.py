@@ -92,6 +92,10 @@ class LinearW:
     def m(self) -> int:
         return len(self.entries)
 
+    def is_square(self, m: int) -> bool:
+        """Whether R is m x m, so h reads exactly the Wiener variables w1..wm."""
+        return self.m == m and all(len(row) == m for row in self.entries)
+
     def h_exprs(self) -> Vector:
         out = []
         for k, row in enumerate(self.entries):
@@ -117,7 +121,7 @@ class VectorField:
             raise SymmetryError(f"phi must have n = {self.ctx.n} components")
         if isinstance(self.noise, GeneralH) and len(self.noise.h) != self.ctx.m:
             raise SymmetryError(f"h must have m = {self.ctx.m} components")
-        if isinstance(self.noise, LinearW) and self.noise.m != self.ctx.m:
+        if isinstance(self.noise, LinearW) and not self.noise.is_square(self.ctx.m):
             raise SymmetryError(f"R must be {self.ctx.m} x {self.ctx.m}")
 
     def noise_exprs(self) -> Vector:

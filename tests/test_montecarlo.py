@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,6 +204,54 @@ def test_divergent_paths_are_flagged():
     assert 0.0 < ens.excluded_fraction < 1.0
     stats = ensemble_stats(ens)  # statistics over the surviving paths
     assert np.all(np.isfinite(stats.mean))
+    assert _same_stats(stats, _reference_stats(ens.states, ~ens.excluded))
+
+
+# ---------------------------------------------------------------------------
+# snapshot statistics
+
+
+def _reference_stats(states, include):
+    """The statistics as a reduction over a copy of the whole kept history."""
+    n_eff = int(np.sum(include))
+    data = states[:, include, :]
+    mean = data.mean(axis=1)
+    var = data.var(axis=1, ddof=1) if n_eff > 1 else np.zeros_like(mean)
+    return mean, var, np.sqrt(var / n_eff)
+
+
+def _same_stats(stats, reference):
+    return all(np.array_equal(a, b) for a, b in zip((stats.mean, stats.var, stats.se), reference))
+
+
+@pytest.mark.parametrize("model, x0", [("linear_additive", [1.0]), ("isotropic_oscillator_2d", [1.0, -0.5])])
+@pytest.mark.parametrize("last_only", [False, True])
+@pytest.mark.parametrize("kept", ["all", "some", "one"])
+def test_ensemble_stats_match_the_whole_history_reduction(model, x0, last_only, kept):
+    ens = euler_maruyama(bundle(model).system, x0, T=0.5, dt=1e-2, n_paths=3000, seed=5, snapshots=10)
+    if last_only:  # one snapshot (K = 1)
+        ens = replace(ens, states=ens.states[-1:], snap_steps=ens.snap_steps[-1:])
+    excluded = {
+        "all": np.zeros(ens.n_paths, dtype=bool),
+        "some": np.random.default_rng(3).random(ens.n_paths) < 0.3,
+        "one": np.arange(ens.n_paths) != 1234,
+    }[kept]
+    ens = replace(ens, excluded=excluded)
+    stats = ensemble_stats(ens)
+    assert stats.n_effective == ens.n_paths - int(np.sum(excluded))
+    assert _same_stats(stats, _reference_stats(ens.states, ~excluded))
+
+
+def test_ensemble_stats_scratch_is_a_small_fraction_of_the_history():
+    ens = euler_maruyama(bundle("linear_additive").system, [1.0], T=1.0, dt=1e-2, n_paths=20000, seed=1)
+    assert ens.states.shape == (101, 20000, 1)
+    tracemalloc.start()
+    try:
+        ensemble_stats(ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ens.states.nbytes / 4
 
 
 def test_weak_order_one_on_linear_problem():
@@ -400,6 +450,17 @@ def test_validation_trivial_at_zero_parameter():
     )
     assert rep.verdict == "pass"
     assert np.max(rep.mean_sigmas) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_validation_inconclusive_with_fewer_than_two_kept_paths():
+    ctx = Context(1, 1)
+    explosive = ItoSystem(ctx, (parse("x^3", ctx),), ((parse("x", ctx),),))
+    X = VectorField(ctx, (parse("x", ctx),), noise=LinearW.from_matrix([[0]]))
+    every_path_diverges = symmetry_validation(explosive, X, 0.1, [50.0], T=0.5, dt=1e-2, n_paths=50, seed=1)
+    assert (every_path_diverges.verdict, every_path_diverges.excluded_fraction) == ("inconclusive", 1.0)
+    b = bundle("linear_additive")
+    one_path = symmetry_validation(b.system, b.vectorfields["scaling"], 0.1, [1.0], T=0.5, dt=1e-2, n_paths=1)
+    assert (one_path.verdict, one_path.excluded_fraction) == ("inconclusive", 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,9 @@ def test_the_wiener_action_is_one_field():
     # a map of the wrong size is refused, from code and from a model file
     with pytest.raises(ReductionError, match="wiener map"):
         replace(cov, wiener=LinearW.from_matrix(np.eye(2)))
+    two = Context(1, 2)
+    with pytest.raises(ReductionError, match="wiener map"):  # ragged rows
+        ChangeOfVariables(two, (parse("x", two),), direction="new_to_old", wiener=LinearW(((1, 0), (0,))))
     with pytest.raises(ReductionError, match="wiener map"):
         replace(cov, wiener=GeneralH((parse("w", b.ctx), parse("w", b.ctx))))
     text = ("[system]\nn = 1\nm = 1\nf1 = -x\nsigma_1_1 = 1\n\n"

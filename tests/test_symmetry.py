@@ -420,6 +420,14 @@ def test_compare_calculi_requires_a_linear_action():
         compare_calculi(X, rep, rep, b.system)
 
 
+@pytest.mark.parametrize("R", [[[1, 2]], [[1.0], [2.0]], [[1, 0], [0]]])
+def test_vector_field_rejects_a_non_square_linear_action(R):
+    # a 1 x 2 R would read w2, which a one-Wiener context does not have
+    ctx = Context(1, 1) if len(R) == 1 else Context(1, 2)
+    with pytest.raises(SymmetryError, match="R must be"):
+        VectorField(ctx, (parse("x", ctx),), noise=LinearW(tuple(map(tuple, R))))
+
+
 # ---------------------------------------------------------------------------
 # Lie structure
 
