@@ -18,7 +18,9 @@ runs with the built-in adapted maps, two ``integrate --json`` runs, and
 ``simulate`` on ``linear_additive`` (CSV on stdout and ``--json``),
 ``isotropic_nonlinear_oscillator`` from ``--x0 10`` (2-D, some paths
 excluded), ``power_noise`` (some paths excluded) and
-``linear_strat_oscillator`` (Heun).
+``linear_strat_oscillator`` (Heun).  Two commands end in a diagnostic
+(exit 1): ``simulate --dt 0.3`` and ``integrate --horizon 0.25 --dt 0.1``,
+whose dt does not divide the horizon into whole steps.
 """
 
 import hashlib
@@ -49,6 +51,9 @@ def commands():
            "--paths", "500", "--dt", "0.01", "--json"]
     yield ["simulate", "--model", "power_noise", "--paths", "2000", "--dt", "0.01", "--json"]
     yield ["simulate", "--model", "linear_strat_oscillator", "--paths", "2000", "--dt", "0.01", "--json"]
+    yield ["simulate", "--model", "linear_additive", "--paths", "10", "--dt", "0.3"]
+    yield ["integrate", "--model", "exp_decay_diffusion", "--field", "shift",
+           "--horizon", "0.25", "--dt", "0.1"]
 
 
 def digest(data: bytes) -> str:

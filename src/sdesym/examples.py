@@ -515,7 +515,8 @@ def linear_moments(seed: int) -> Tuple[float, float, float]:
     and the excluded fraction."""
     bundle = _bundled("linear_additive")
     ens = mc.euler_maruyama(
-        bundle.system, [1.0], T=1.0, dt=1e-3, n_paths=100000, seed=seed, snapshots=4
+        bundle.system, [1.0], T=1.0, dt=1e-3, n_paths=100000, seed=seed, snapshots=4,
+        wiener=False,
     )
     stats = mc.ensemble_stats(ens)
     lam = bundle.ctx.params["lam"]
@@ -564,7 +565,7 @@ def cross_scheme_deviation(seed: int) -> Tuple[float, float, float]:
     ctx = Context(n=1, m=1, params={"lam": -1.0, "mu": 0.3})
     sys_i = ItoSystem(ctx, (parse("lam*x", ctx),), ((parse("mu*x", ctx),),))
     runs = [mc.Run(sys_i, [1.0]), mc.Run(ito_to_strat(sys_i), [1.0])]
-    a, b = mc._simulate(runs, 0.0, 1.0, 1e-3, 100000, seed, snapshots=2)
+    a, b = mc._simulate(runs, 0.0, 1.0, 1e-3, 100000, seed, snapshots=2, wiener=False)
     include = ~(a.excluded | b.excluded)
     da = a.terminal_states()[include, 0]
     db = b.terminal_states()[include, 0]

@@ -57,6 +57,24 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _DIVERGENCE_BOUND = 1e10
 
 
+class FlowError(ValueError):
+    """A simulation, map or statistic that cannot be carried out on its
+    inputs: a time grid that does not reach the horizon, a flow that fails,
+    an ensemble with every path excluded."""
+
+
+def _step_count(t0: float, T: float, dt: float) -> int:
+    """The number of steps dt from t0 to T.  Raises FlowError unless
+    (T - t0) / dt is within 1e-9 (relative) of a whole number >= 1: a
+    rounded count would end the run at another time than T."""
+    ratio = (T - t0) / dt
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
+        raise FlowError(f"dt = {dt:g} does not divide the time span {T - t0:g} "
+                        f"into a whole number of steps (it gives {ratio:.6g})")
+    return steps
+
+
 def _mix13(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The finalizer applied to the uint64 array z in place; ``tmp`` is
     scratch of the same size.  Returns z."""
@@ -131,7 +149,7 @@ class BrownianGrid:
 
     @staticmethod
     def generate(seed: int, path_index: int, t0: float, T: float, dt: float, m: int) -> "BrownianGrid":
-        steps = int(round((T - t0) / dt))
+        steps = _step_count(t0, T, dt)
         source = Increments(seed, path_index + 1, m, dt)
         incs = np.empty((steps, m))
         for s in range(steps):
@@ -158,7 +176,7 @@ class Ensemble:
     seed: int
     snap_steps: np.ndarray  # (K,) step indices of the stored snapshots
     states: np.ndarray  # (K, N, n)
-    w: np.ndarray  # (K, N, m) cumulative Brownian values
+    w: Optional[np.ndarray]  # (K, N, m) cumulative Brownian values; None when not recorded
     excluded: np.ndarray  # (N,) bool
 
     @property
@@ -207,7 +225,8 @@ class Run(NamedTuple):
 class _Integrator:
     """One run's paths and the buffers its steps reuse."""
 
-    def __init__(self, run: Run, t0: float, T: float, dt: float, n_paths: int, seed: int, snapshots: int):
+    def __init__(self, run: Run, t0: float, T: float, dt: float, n_paths: int, seed: int, snapshots: int,
+                 wiener: bool = True):
         ctx = run.system.ctx
         n, m = ctx.n, ctx.m
         # one kernel for all coefficients: column i is f_i, column n + i*m + k is sigma_ik
@@ -215,7 +234,7 @@ class _Integrator:
         self.kernel = Kernel([simplify(e) for e in coefficients], ctx.states() + (TIME,), ctx.params)
         self.run, self.n, self.m = run, n, m
         self.t0, self.T, self.dt, self.n_paths, self.seed = t0, T, dt, n_paths, seed
-        self.steps = int(round((T - t0) / dt))
+        self.steps = _step_count(t0, T, dt)
         self.snap = _snapshot_steps(self.steps, snapshots)
         self.snap_index = {int(s): i for i, s in enumerate(self.snap)}
         self.c = np.empty((n_paths, len(coefficients)))
@@ -227,12 +246,17 @@ class _Integrator:
         self.magnitude = np.empty_like(self.x)
         self.ok = np.empty(self.x.shape, dtype=bool)
         self.alive = np.ones(n_paths, dtype=bool)
-        self.w = np.zeros((n_paths, m))
         self.states = np.empty((len(self.snap), n_paths, n))
-        self.ws = np.empty((len(self.snap), n_paths, m))
+        # the running w and its snapshots, or None when w is not recorded
+        self.w = np.zeros((n_paths, m)) if wiener else None
+        self.ws = np.empty((len(self.snap), n_paths, m)) if wiener else None
         if 0 in self.snap_index:
-            self.states[self.snap_index[0]] = self.x
-            self.ws[self.snap_index[0]] = self.w
+            self._record(self.snap_index[0])
+
+    def _record(self, k: int) -> None:
+        self.states[k] = self.x
+        if self.ws is not None:
+            self.ws[k] = self.w
 
     def step(self, s: int, t: float, dW: np.ndarray) -> None:
         n, m, dt = self.n, self.m, self.dt
@@ -264,10 +288,10 @@ class _Integrator:
         np.less(np.abs(new_x, out=self.magnitude), _DIVERGENCE_BOUND, out=self.ok)
         self.alive &= self.ok.all(axis=1)
         np.copyto(x, new_x, where=self.alive[:, None])
-        self.w += dW
+        if self.w is not None:
+            self.w += dW
         if (s + 1) in self.snap_index:
-            self.states[self.snap_index[s + 1]] = x
-            self.ws[self.snap_index[s + 1]] = self.w
+            self._record(self.snap_index[s + 1])
 
     def ensemble(self) -> Ensemble:
         return Ensemble(
@@ -294,13 +318,17 @@ def _simulate(
     n_paths: int,
     seed: int,
     snapshots: int,
+    *,
+    wiener: bool = True,
 ) -> List[Ensemble]:
     """Advance every run on the increments of (seed, n_paths) in lockstep.
-    Each ensemble equals the one its run gives alone."""
+    Each ensemble equals the one its run gives alone.  With ``wiener``
+    false no ensemble records its Wiener values (``Ensemble.w`` is None);
+    every other array is the same."""
     m = runs[0].system.ctx.m
     if any(run.system.ctx.m != m for run in runs):
         raise ValueError("runs in lockstep must share the number of Wiener processes")
-    integrators = [_Integrator(run, t0, T, dt, n_paths, seed, snapshots) for run in runs]
+    integrators = [_Integrator(run, t0, T, dt, n_paths, seed, snapshots, wiener) for run in runs]
     _lockstep(integrators, seed, n_paths, m, t0, dt, integrators[0].steps)
     return [integrator.ensemble() for integrator in integrators]
 
@@ -315,12 +343,19 @@ def euler_maruyama(
     seed: int = 0,
     snapshots: int = 100,
     dw_transform: Optional[np.ndarray] = None,
+    *,
+    wiener: bool = True,
 ) -> Ensemble:
     """Strong order-1/2 explicit scheme for the Ito interpretation:
-    x_{s+1} = x_s + f(x_s, t_s) dt + sigma(x_s, t_s) dW_s."""
+    x_{s+1} = x_s + f(x_s, t_s) dt + sigma(x_s, t_s) dW_s.
+
+    dt must divide T - t0 into a whole number of steps (FlowError
+    otherwise).  With ``wiener`` false the (K, N, m) history of w is not
+    stored and ``Ensemble.w`` is None; the states and excluded paths are the
+    same."""
     sys.require("ito", "euler_maruyama")
     run = Run(sys, x0, dw_transform)
-    return _simulate([run], t0, T, dt, n_paths, seed, snapshots)[0]
+    return _simulate([run], t0, T, dt, n_paths, seed, snapshots, wiener=wiener)[0]
 
 
 def heun_stratonovich(
@@ -333,21 +368,19 @@ def heun_stratonovich(
     seed: int = 0,
     snapshots: int = 100,
     dw_transform: Optional[np.ndarray] = None,
+    *,
+    wiener: bool = True,
 ) -> Ensemble:
     """Predictor-corrector (midpoint) scheme converging to the Stratonovich
     interpretation; reuses the same Brownian increments as the Ito scheme
-    for a given seed."""
+    for a given seed.  The grid and ``wiener`` are as in `euler_maruyama`."""
     sys.require("stratonovich", "heun_stratonovich")
     run = Run(sys, x0, dw_transform)
-    return _simulate([run], t0, T, dt, n_paths, seed, snapshots)[0]
+    return _simulate([run], t0, T, dt, n_paths, seed, snapshots, wiener=wiener)[0]
 
 
 # ---------------------------------------------------------------------------
 # finite group maps
-
-
-class FlowError(ValueError):
-    pass
 
 
 def _affine_generator(X: VectorField) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -421,6 +454,8 @@ def flow_map(X: VectorField, s: float) -> Callable[[np.ndarray, np.ndarray], Tup
 def apply_group_map(ens: Ensemble, X: VectorField, s: float) -> Ensemble:
     """Apply the finite map exp(s X) to every snapshot of an ensemble,
     transforming states and Brownian values consistently."""
+    if ens.w is None:
+        raise FlowError("the ensemble did not record w: simulate it with wiener=True to map it")
     mapping = flow_map(X, s)
     states = np.empty_like(ens.states)
     ws = np.empty_like(ens.w)
@@ -684,7 +719,7 @@ def solution_form_terminals(
     """Terminal values of the solution form over the same Brownian ensemble
     that `euler_maruyama` would generate for (seed, n_paths); streamed, so
     nothing but running sums is stored."""
-    steps = int(round((T - t0) / dt))
+    steps = _step_count(t0, T, dt)
     quadrature = _Quadrature(sf, t0, dt, n_paths, x0)
     _lockstep([quadrature], seed, n_paths, sf.ctx.m, t0, dt, steps)
     return quadrature.terminals()

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,38 @@ def test_simulate_all_paths_excluded_is_a_diagnostic(tmp_path, capsys):
     assert out == ""
     assert "error:" in err and "excluded" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # 1 / 0.3 is not whole: the run would end at t = 0.9 labelled horizon 1
+    ["simulate", "--model", "linear_additive", "--paths", "10", "--dt", "0.3"],
+    # dt beyond the horizon: no step, the initial state reported as terminal
+    ["simulate", "--model", "linear_additive", "--paths", "10", "--dt", "2"],
+    # the run would stop at 0.2 labelled 0.25
+    ["integrate", "--model", "exp_decay_diffusion", "--field", "shift",
+     "--horizon", "0.25", "--dt", "0.1", "--paths", "10"],
+])
+def test_dt_must_divide_the_horizon(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "whole number of steps" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_simulate_memory_is_the_state_history(capsys):
+    # the report needs the (K, N, n) state history and no more: no Wiener
+    # history of the same size beside it
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--model", "linear_additive", "--paths", "20000",
+                     "--dt", "0.01", "--json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert peak < 1.5 * 101 * 20000 * 8
 
 
 def test_emit_writes_non_finite_floats_as_null(capsys):

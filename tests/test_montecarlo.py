@@ -12,6 +12,7 @@ from sdesym.expr import Context, ONE, ZERO, parse, state, wiener
 from sdesym.modelfile import load_model
 from sdesym.montecarlo import (
     BrownianGrid,
+    FlowError,
     Increments,
     Run,
     _affine_generator,
@@ -153,6 +154,12 @@ def test_lockstep_runs_equal_separate_runs():
             assert np.array_equal(ens.states, alone.states)
             assert np.array_equal(ens.w, alone.w)
             assert np.array_equal(ens.excluded, alone.excluded)
+            # not recording w changes nothing else
+            lean = integrate(run.system, run.x0, T=T, dt=dt, n_paths=300, seed=17,
+                             snapshots=5, dw_transform=run.dw_transform, wiener=False)
+            assert lean.w is None
+            assert np.array_equal(lean.states, alone.states)
+            assert np.array_equal(lean.excluded, alone.excluded)
             excluded += int(ens.excluded.sum())
     assert excluded > 0
 
@@ -177,6 +184,15 @@ def test_em_reduces_to_euler_without_noise():
     target = (1.0 - 1e-3) ** 1000
     assert ens.states[-1, 0, 0] == pytest.approx(target, rel=1e-12)
     assert abs(target - math.exp(-1.0)) < 1e-3  # O(dt) global error
+
+
+def test_horizon_must_be_a_whole_number_of_steps():
+    system = bundle("linear_additive").system
+    # 1.0 / 0.3 rounds to 3 steps, which would end the run at t = 0.9
+    with pytest.raises(FlowError, match="whole number of steps"):
+        euler_maruyama(system, [1.0], T=1.0, dt=0.3, n_paths=4)
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point: three whole steps
+    assert euler_maruyama(system, [1.0], T=0.3, dt=0.1, n_paths=4).steps == 3
 
 
 def test_heun_matches_em_for_constant_sigma():
@@ -320,6 +336,13 @@ def test_group_map_identity_at_zero():
     mapped = apply_group_map(ens, b.vectorfields["scaling"], 0.0)
     assert np.allclose(mapped.states, ens.states)
     assert np.allclose(mapped.w, ens.w)
+
+
+def test_group_map_needs_the_wiener_history():
+    b = bundle("linear_additive")
+    ens = euler_maruyama(b.system, [1.0], T=0.1, dt=1e-2, n_paths=4, wiener=False)
+    with pytest.raises(FlowError, match="did not record w"):
+        apply_group_map(ens, b.vectorfields["scaling"], 0.3)
 
 
 def test_scaling_map_is_exact_exponential():
