@@ -14,13 +14,16 @@ checkout lives.  Run it on two checkouts and diff the outputs:
 
 The commands: ``check --force --json`` on every bundled model at
 ``--seed 0`` and ``--seed 7``, ``examples --json``, two ``reduce --json``
-runs with the built-in adapted maps, two ``integrate --json`` runs, and
+runs with the built-in adapted maps, one with the model file's ``rectify``
+map, two ``integrate --json`` runs, and
 ``simulate`` on ``linear_additive`` (CSV on stdout and ``--json``),
 ``isotropic_nonlinear_oscillator`` from ``--x0 10`` (2-D, some paths
 excluded), ``power_noise`` (some paths excluded) and
-``linear_strat_oscillator`` (Heun).  Two commands end in a diagnostic
+``linear_strat_oscillator`` (Heun).  Four commands end in a diagnostic
 (exit 1): ``simulate --dt 0.3`` and ``integrate --horizon 0.25 --dt 0.1``,
-whose dt does not divide the horizon into whole steps.
+whose dt does not divide the horizon into whole steps; ``integrate`` with
+two ``--field`` and two ``--cov`` flags; and ``reduce`` with more ``--cov``
+than ``--field`` flags.
 """
 
 import hashlib
@@ -54,6 +57,13 @@ def commands():
     yield ["simulate", "--model", "linear_additive", "--paths", "10", "--dt", "0.3"]
     yield ["integrate", "--model", "exp_decay_diffusion", "--field", "shift",
            "--horizon", "0.25", "--dt", "0.1"]
+    yield ["reduce", "--json", "--model", "exp_decay_diffusion", "--field", "shift",
+           "--cov", "rectify"]
+    yield ["integrate", "--model", "exp_decay_diffusion", "--field", "shift",
+           "--field", "not_a_symmetry", "--cov", "rectify", "--cov", "nosuch",
+           "--paths", "0"]
+    yield ["reduce", "--model", "linear_additive", "--field", "scaling",
+           "--cov", "builtin:scaling", "--cov", "builtin:scaling"]
 
 
 def digest(data: bytes) -> str:

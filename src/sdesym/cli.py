@@ -201,6 +201,9 @@ def cmd_integrate(args) -> int:
     if not args.field:
         print("error: --field is required", file=sys.stderr)
         return EXIT_USAGE
+    if len(args.field) > 1 or len(args.cov or []) > 1:
+        print("error: integrate takes one --field and at most one --cov", file=sys.stderr)
+        return EXIT_USAGE
     name = args.field[0]
     if name not in bundle.vectorfields:
         print(f"error: no vector field named {name!r}", file=sys.stderr)
@@ -212,7 +215,7 @@ def cmd_integrate(args) -> int:
         cov = _resolve_cov(bundle, args.cov[0])
     else:
         variable = integrating_variable(X.phi[0], sys_ito.ctx)
-        cov = ChangeOfVariables(sys_ito.ctx, (variable,), direction="old_to_new")
+        cov = ChangeOfVariables(sys_ito.ctx, (variable,))
 
     step = reduce_step(sys_ito, X, cov, config)
     form = integrate_scalar(step.transformed, config)
@@ -220,7 +223,7 @@ def cmd_integrate(args) -> int:
     report = {
         "meta": _report_meta(bundle, args, config),
         "field": name,
-        "new_variable": to_string(cov.forward[0]),
+        "new_variable": to_string(cov.new_coordinates()[0]),
         "step": step.to_dict(),
         "solution_form": form.to_dict(),
     }
@@ -246,9 +249,9 @@ def cmd_integrate(args) -> int:
 
 def _resolve_cov(bundle: ModelBundle, spec: str) -> ChangeOfVariables:
     if spec == "builtin:scaling":
-        return scaling_adapted_cov(bundle.ctx)[0]
+        return scaling_adapted_cov(bundle.ctx)
     if spec == "builtin:rotation":
-        return rotation_adapted_cov(bundle.ctx)[0]
+        return rotation_adapted_cov(bundle.ctx)
     if spec not in bundle.covs:
         raise ModelFileError(f"no change of variables named {spec!r}")
     return bundle.covs[spec]
@@ -272,9 +275,12 @@ def cmd_reduce(args) -> int:
     except KeyError as err:
         print(f"error: no vector field named {err}", file=sys.stderr)
         return EXIT_USAGE
+    if len(args.cov or []) > len(fields):
+        print("error: reduce takes no more --cov flags than --field flags", file=sys.stderr)
+        return EXIT_USAGE
     covs = [_resolve_cov(bundle, name) for name in args.cov or []]
     while len(covs) < len(fields):
-        covs.append(scaling_adapted_cov(bundle.ctx)[0])
+        covs.append(scaling_adapted_cov(bundle.ctx))
     if len(fields) == 1:
         result = reduce_step(bundle.system, fields[0], covs[0], config)
         payload = {"meta": _report_meta(bundle, args, config), "step": result.to_dict()}

@@ -162,10 +162,7 @@ def random_split_map_case(rng: np.random.Generator) -> Tuple[ItoSystem, ChangeOf
     lam = float(rng.uniform(0.3, 1.2))
     A = rng.uniform(-1.0, 1.0, size=(m, m))
     R = lam * np.eye(m) + (A - A.T) / 2.0
-    cov = ChangeOfVariables(
-        ctx, tuple(forward), direction="new_to_old", wiener=LinearW.from_matrix(R)
-    )
-    return sys_r, cov
+    return sys_r, ChangeOfVariables(ctx, tuple(forward), wiener=LinearW.from_matrix(R))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +344,7 @@ def case_nonlinear_rotation(config: ZeroTestConfig) -> CaseResult:
 def case_scaling_reduction(config: ZeroTestConfig) -> CaseResult:
     bundle = _bundled("linear_additive")
     ctx = bundle.ctx
-    cov, coords = scaling_adapted_cov(ctx)
+    cov = scaling_adapted_cov(ctx)
     g = transform_W(bundle.system, cov, config)
     S_ok = expressions_equal(g.S[0][0], parse("mu/(1 - mu*w)", ctx), ctx, config).is_zero
     F_ok = expressions_equal(
@@ -363,7 +360,7 @@ def case_scaling_reduction(config: ZeroTestConfig) -> CaseResult:
 
 def case_rotation_reduction(config: ZeroTestConfig) -> CaseResult:
     bundle = _bundled("isotropic_nonlinear_oscillator")
-    cov, _ = rotation_adapted_cov(bundle.ctx)
+    cov = rotation_adapted_cov(bundle.ctx)
     step = reduce_step(bundle.system, bundle.vectorfields["rotation"], cov, config)
     ok = (
         step.translation_kind == "driver"

@@ -23,13 +23,14 @@ Example::
     R = [[-1]]
 
     [changeofvars.rectify]
-    direction = old_to_new
     phi1 = exp(x)
     inverse1 = log(x)
 
 Sections ``vectorfield.NAME`` may give either ``h1..hm`` expressions or a
-constant matrix ``R`` (JSON row list).  Unknown identifiers in expressions
-are free parameters; ``[params]`` binds them numerically.
+constant matrix ``R`` (JSON row list); a ``changeofvars.NAME`` section with
+``R`` is read new-to-old (x = phi(y), w = R z), one without old-to-new, and
+its optional ``direction`` key must agree.  Unknown identifiers in
+expressions are free parameters; ``[params]`` binds them numerically.
 """
 
 from __future__ import annotations
@@ -218,7 +219,6 @@ def load_model(source: Union[str, Path], text: Optional[str] = None) -> ModelBun
             name = section_name[len("changeofvars.") :]
             section = cp[section_name]
             where = f"[{section_name}]"
-            direction = section.get("direction", "old_to_new").strip()
             forward = tuple(expr_of(section, f"phi{i}", where) for i in range(1, n + 1))
             inverse = None
             if any(f"inverse{i}" in section for i in range(1, n + 1)):
@@ -228,10 +228,12 @@ def load_model(source: Union[str, Path], text: Optional[str] = None) -> ModelBun
             wiener = None
             if "R" in section:
                 wiener = LinearW.from_matrix(_parse_matrix(section["R"], m, where))
+            implied = "old_to_new" if wiener is None else "new_to_old"
+            if section.get("direction", implied).strip() != implied:
+                raise ModelFileError(f"{where}: direction must be {implied} for a map "
+                                     f"{'without' if wiener is None else 'with'} R")
             try:
-                bundle.covs[name] = ChangeOfVariables(
-                    ctx, forward, direction=direction, wiener=wiener, inverse=inverse
-                )
+                bundle.covs[name] = ChangeOfVariables(ctx, forward, wiener=wiener, inverse=inverse)
             except ReductionError as err:
                 raise ModelFileError(f"{where}: {err}") from None
         elif section_name not in ("system", "params", "sampling"):

@@ -490,7 +490,6 @@ class StatsReport:
     se: np.ndarray
     n_effective: int
     excluded_fraction: float
-    ks_at_terminal: Optional[np.ndarray] = None  # per component, when compared
 
     def to_csv(self) -> str:
         n = self.mean.shape[1]
@@ -747,7 +746,8 @@ def pipeline_crosscheck(
     seed: int,
 ) -> PipelineReport:
     """Cross-check a scalar system integrated in its symmetry-adapted
-    variable against direct simulation of the system itself.
+    variable y = Phi(x, t; w), a map that fixes w, against direct simulation
+    of the system itself.
 
     The solution form starts from forward(x0) at t = 0 and is summed in
     lockstep with the direct Euler-Maruyama run, on one draw of the
@@ -756,6 +756,8 @@ def pipeline_crosscheck(
     map-back is not finite, or that the direct run excluded, are dropped
     from both means."""
     system.require("ito", "pipeline_crosscheck")
+    if cov.wiener is not None:
+        raise ReductionError("the cross-check needs a change of variables that fixes the Wiener variables")
     ctx = system.ctx
     start = dict.fromkeys(ctx.all_vars(), 0.0)
     start[state(1)] = x0

@@ -125,21 +125,20 @@ def sym_inverse(mat: Sequence[Sequence[Expr]]) -> Matrix:
 
 @dataclass
 class ChangeOfVariables:
-    """A state-space map, optionally with a Wiener-sector map.
-
-    direction 'old_to_new': forward[i] expresses the i-th new state in the
-    old variables (used for standard changes of variables).
-    direction 'new_to_old': forward[i] expresses the i-th old state in the
-    new variables, and ``wiener`` expresses the old Wiener variables in the
-    new ones, w = H(y,t;z), in the families of ``VectorField.noise``: a
-    ``LinearW`` R is w = R z and keeps the new drivers Wiener, a ``GeneralH``
-    is any H.  ``inverse`` / ``inverse_drivers`` give the opposite
-    direction for the states / driver coordinates when known.
+    """A state-space map, optionally with a Wiener-sector map, which sets
+    the direction.  A map that fixes w (``wiener`` None) is read old-to-new:
+    forward[i] is the i-th new state in the old variables, y = Phi(x,t;w).
+    A Wiener map is read new-to-old, as a W-symmetry acts on (x, w):
+    forward[i] is the i-th old state in the new variables, x = Phi(y,t;z),
+    and ``wiener`` the old Wiener variables, w = H(y,t;z), in the families
+    of ``VectorField.noise``: a ``LinearW`` R is w = R z and keeps the new
+    drivers Wiener, a ``GeneralH`` is any H.  ``inverse`` /
+    ``inverse_drivers`` give the opposite direction for the states / driver
+    coordinates when known.
     """
 
     ctx: Context
     forward: Vector
-    direction: str = "old_to_new"
     wiener: Noise = None
     inverse: Optional[Vector] = None
     inverse_drivers: Optional[Vector] = None
@@ -148,8 +147,6 @@ class ChangeOfVariables:
         self.forward = tuple(self.forward)
         if len(self.forward) != self.ctx.n:
             raise ReductionError(f"forward map must have n = {self.ctx.n} components")
-        if self.direction not in ("old_to_new", "new_to_old"):
-            raise ReductionError("direction must be 'old_to_new' or 'new_to_old'")
         if self.inverse is not None:
             self.inverse = tuple(self.inverse)
         m = self.ctx.m
@@ -157,6 +154,16 @@ class ChangeOfVariables:
             raise ReductionError(f"wiener map must be {m} x {m}")
         if isinstance(self.wiener, GeneralH) and len(self.wiener.h) != m:
             raise ReductionError(f"wiener map must have m = {m} components")
+
+    def new_coordinates(self) -> List[Expr]:
+        """The new states, then the new drivers, written in the old
+        variables: ``forward`` and w1..wm for a map that fixes w,
+        ``inverse`` and ``inverse_drivers`` for a Wiener map."""
+        if self.wiener is None:
+            return list(self.forward) + [Var(wiener(k)) for k in range(1, self.ctx.m + 1)]
+        if self.inverse is None or self.inverse_drivers is None:
+            raise ReductionError("new_to_old reduction needs the inverse coordinate expressions")
+        return list(self.inverse) + list(self.inverse_drivers)
 
     @property
     def jacobian(self) -> Matrix:
@@ -385,8 +392,6 @@ def transform_ito(
     conditions L0(d_w Phi) = L_k(d_w Phi) = 0.
     """
     config = config or ZeroTestConfig()
-    if cov.direction != "old_to_new":
-        raise ReductionError("transform_ito expects an old_to_new map")
     if cov.wiener is not None:
         raise ReductionError("transform_ito handles maps that fix the Wiener variables")
     sys.require("ito", "transform_ito")
@@ -457,8 +462,6 @@ def transform_W(
     transform_W").  They count as Wiener only under a linear map w = R z.
     """
     config = config or ZeroTestConfig()
-    if cov.direction != "new_to_old":
-        raise ReductionError("transform_W expects a new_to_old map")
     if cov.wiener is None:
         raise ReductionError("transform_W needs the Wiener-sector map")
     sys.require("ito", "transform_W")
@@ -519,14 +522,14 @@ def transform_W(
 
 
 def numeric_inverse(cov: ChangeOfVariables, config: Optional[ZeroTestConfig] = None):
-    """Evaluation-only inverse of an old_to_new state map: damped Newton on
+    """Evaluation-only inverse of a state map that fixes w: damped Newton on
     Phi(x; t, w) = y per point.  Used when no symbolic inverse is supplied;
     never used for symbolic re-expression, so transformed coefficients stay
     in the old variables in that case.
 
     Returns solve(y, t, w_values, x_start) -> x (scalar maps only)."""
-    if cov.direction != "old_to_new":
-        raise ReductionError("numeric inversion expects an old_to_new map")
+    if cov.wiener is not None:
+        raise ReductionError("numeric inversion expects a map that fixes the Wiener variables")
     if cov.ctx.n != 1:
         raise ReductionError("numeric inversion is implemented for scalar maps")
     from .expr.evaluate import Kernel
@@ -618,13 +621,13 @@ def rectification_check(
     return RectificationResult(values, verdicts, translation, rectified)
 
 
-def scaling_adapted_cov(ctx: Context) -> Tuple[ChangeOfVariables, List[Expr]]:
+def scaling_adapted_cov(ctx: Context) -> ChangeOfVariables:
     """Adapted coordinates for the simultaneous scaling of all states and
     Wiener variables (phi = x, h = w):  the first new state is log x1, the
     other states and all drivers are ratios against x1.
 
-    Returns the new_to_old ChangeOfVariables and the old_to_new coordinate
-    list (states then drivers) for rectification checks."""
+    Returns the Wiener map x1 = e^y1, xi = e^y1 yi, w = e^y1 z, with its
+    inverse, so ``new_coordinates()`` lists log x1, xi/x1, wk/x1."""
     e1 = Apply("exp", Var(state(1)))
     forward = [e1]
     for i in range(2, ctx.n + 1):
@@ -636,24 +639,23 @@ def scaling_adapted_cov(ctx: Context) -> Tuple[ChangeOfVariables, List[Expr]]:
     inverse_drivers = tuple(
         simplify(div(Var(wiener(k)), Var(state(1)))) for k in range(1, ctx.m + 1)
     )
-    cov = ChangeOfVariables(
+    return ChangeOfVariables(
         ctx,
         tuple(forward),
-        direction="new_to_old",
         wiener=H,
         inverse=tuple(inverse),
         inverse_drivers=inverse_drivers,
     )
-    return cov, list(cov.inverse) + list(inverse_drivers)
 
 
-def rotation_adapted_cov(ctx: Context) -> Tuple[ChangeOfVariables, List[Expr]]:
+def rotation_adapted_cov(ctx: Context) -> ChangeOfVariables:
     """Adapted coordinates for the simultaneous rotation field
     phi = (-x2, x1), h = (-w2, w1) in two dimensions: polar coordinates in
     both the state and the Wiener plane, with the state angle replaced by
     its offset against the driver angle.
 
-    New states: (r, psi = theta - xi); new drivers: (z, xi)."""
+    Returns the Wiener map with its inverse: new states (r, psi = theta - xi)
+    and new drivers (z, xi), which ``new_coordinates()`` lists."""
     if ctx.n != 2 or ctx.m != 2:
         raise ReductionError("rotation-adapted coordinates need n = m = 2")
     r, psi = Var(state(1)), Var(state(2))
@@ -675,15 +677,13 @@ def rotation_adapted_cov(ctx: Context) -> Tuple[ChangeOfVariables, List[Expr]]:
         Apply("sqrt", add(Power(w1, Const(2)), Power(w2, Const(2)))),
         xi_old,
     )
-    cov = ChangeOfVariables(
+    return ChangeOfVariables(
         ctx,
         forward,
-        direction="new_to_old",
         wiener=H,
         inverse=inverse,
         inverse_drivers=inverse_drivers,
     )
-    return cov, list(inverse) + list(inverse_drivers)
 
 
 # ---------------------------------------------------------------------------
@@ -743,21 +743,13 @@ def reduce_step(
             f"candidate failed symmetry verification: {report.witness or report.verdict}"
         )
 
-    if cov.direction == "old_to_new":
-        coords = list(cov.forward) + [Var(wiener(k)) for k in range(1, ctx.m + 1)]
-    else:
-        if cov.inverse is None or cov.inverse_drivers is None:
-            raise ReductionError(
-                "new_to_old reduction needs the inverse coordinate expressions"
-            )
-        coords = list(cov.inverse) + list(cov.inverse_drivers)
-    rect = rectification_check(X, coords, config)
+    rect = rectification_check(X, cov.new_coordinates(), config)
     if not rect.rectified:
         raise ReductionError(
             f"coordinates do not rectify the symmetry: {rect.verdicts}"
         )
 
-    if cov.direction == "old_to_new":
+    if cov.wiener is None:
         transformed = transform_ito(sys, cov, config)
     else:
         transformed = transform_W(sys, cov, config)
@@ -792,12 +784,12 @@ def reduce_step(
 def pushforward_standard(
     X: VectorField, cov: ChangeOfVariables
 ) -> VectorField:
-    """Push a standard simple field through an old_to_new state map with a
+    """Push a standard simple field through a state map that fixes w, with a
     known inverse: the new components are X(Phi^i) written in new variables."""
     if X.noise is not None:
         raise ReductionError("only standard fields are pushed through state maps")
-    if cov.direction != "old_to_new" or cov.inverse is None:
-        raise ReductionError("pushforward needs an old_to_new map with inverse")
+    if cov.wiener is not None or cov.inverse is None:
+        raise ReductionError("pushforward needs a map that fixes w, with inverse")
     mapping = {state(i + 1): cov.inverse[i] for i in range(X.ctx.n)}
     phi = tuple(
         simplify(subst_many(X.apply(cov.forward[i]), mapping)) for i in range(X.ctx.n)
@@ -810,8 +802,8 @@ def pushforward_split_W(X: VectorField, cov: ChangeOfVariables) -> VectorField:
     w = R_c z: the state part maps by Lambda, the Wiener action conjugates."""
     if not isinstance(X.noise, LinearW):
         raise ReductionError("expected a linear Wiener-acting field")
-    if cov.direction != "new_to_old" or not isinstance(cov.wiener, LinearW):
-        raise ReductionError("expected a new_to_old split map with a Wiener matrix")
+    if not isinstance(cov.wiener, LinearW):
+        raise ReductionError("expected a split map with a Wiener matrix")
     for component in cov.forward:
         if any(v.kind is VarKind.WIENER for v in free_vars(component)):
             raise ReductionError("split maps keep the state map Wiener-free")
@@ -866,7 +858,6 @@ def reduce_sequence(
     generators: Sequence[VectorField],
     covs: Sequence[ChangeOfVariables],
     config: Optional[ZeroTestConfig] = None,
-    check_ordering: bool = True,
 ) -> ChainResult:
     """Sequential reduction.  The generator order must respect the derived
     series (shallowest first); the Ito-likeness of each intermediate
@@ -878,7 +869,7 @@ def reduce_sequence(
     covs = list(covs)
     if len(generators) != len(covs):
         raise ReductionError("need one change of variables per generator")
-    if check_ordering and len(generators) > 1:
+    if len(generators) > 1:
         solv = solvability_check(generators, config)
         if solv.status == "not_solvable":
             raise ReductionError("generators do not span a solvable algebra")
@@ -913,7 +904,7 @@ def reduce_sequence(
         except Exception as err:  # noqa: BLE001 - diagnostic path
             return ChainResult(steps, False, reason=str(err))
         nxt = generators[idx + 1]
-        if nxt.noise is None and cov.direction == "old_to_new":
+        if nxt.noise is None and cov.wiener is None:
             try:
                 generators[idx + 1] = pushforward_standard(nxt, cov)
             except ReductionError as err:

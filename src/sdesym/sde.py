@@ -103,13 +103,6 @@ class StratSystem(System):
 SYSTEM_TYPES = {cls.calculus: cls for cls in (ItoSystem, StratSystem)}
 
 
-@dataclass(frozen=True)
-class DriftCorrection:
-    """rho^i = (1/2) sum_{j,k} (d sigma^i_j / d x^k) sigma^k_j"""
-
-    rho: Vector
-
-
 def ito_laplacian(u: Expr, sigma: Matrix, ctx: Context) -> Expr:
     """Second-order operator from the Ito rule:
 
@@ -135,7 +128,8 @@ def ito_laplacian(u: Expr, sigma: Matrix, ctx: Context) -> Expr:
     return simplify(add(*pieces))
 
 
-def drift_correction(sigma: Matrix, ctx: Context) -> DriftCorrection:
+def drift_correction(sigma: Matrix, ctx: Context) -> Vector:
+    """rho^i = (1/2) sum_{j,k} (d sigma^i_j / d x^k) sigma^k_j"""
     sigma = tuple(tuple(row) for row in sigma)
     rho = []
     for i in range(1, ctx.n + 1):
@@ -149,13 +143,13 @@ def drift_correction(sigma: Matrix, ctx: Context) -> DriftCorrection:
                     )
                 )
         rho.append(simplify(mul(HALF, add(*pieces))))
-    return DriftCorrection(tuple(rho))
+    return tuple(rho)
 
 
 def ito_to_strat(sys: ItoSystem) -> StratSystem:
     """Same diffusion; drift shifted down by the correction: b = f - rho."""
     sys.require("ito", "ito_to_strat")
-    rho = drift_correction(sys.sigma, sys.ctx).rho
+    rho = drift_correction(sys.sigma, sys.ctx)
     b = tuple(simplify(add(fi, Neg(ri))) for fi, ri in zip(sys.drift, rho))
     return StratSystem(sys.ctx, b, sys.sigma)
 
@@ -163,7 +157,7 @@ def ito_to_strat(sys: ItoSystem) -> StratSystem:
 def strat_to_ito(sys: StratSystem) -> ItoSystem:
     """Inverse conversion: f = b + rho."""
     sys.require("stratonovich", "strat_to_ito")
-    rho = drift_correction(sys.sigma, sys.ctx).rho
+    rho = drift_correction(sys.sigma, sys.ctx)
     f = tuple(simplify(add(bi, ri)) for bi, ri in zip(sys.drift, rho))
     return ItoSystem(sys.ctx, f, sys.sigma)
 

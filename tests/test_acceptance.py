@@ -190,7 +190,7 @@ def test_criterion_04_scaling_reduction_coefficients():
     """Scaling-adapted coordinates on the linear additive model:
     S = mu/(1 - mu z); the drift is asserted as-quoted separately."""
     b = bundle("linear_additive")
-    cov, _ = scaling_adapted_cov(b.ctx)
+    cov = scaling_adapted_cov(b.ctx)
     g = transform_W(b.system, cov, CONFIG)
     S_ok = expressions_equal(g.S[0][0], parse("mu/(1 - mu*w)", b.ctx), b.ctx, CONFIG)
     announce(4, S_ok.is_zero, f"S = mu/(1 - mu z) ({S_ok.status}); F asserted separately")
@@ -206,7 +206,7 @@ def test_criterion_04_scaling_reduction_coefficients():
 )
 def test_criterion_04_drift_as_quoted():
     b = bundle("linear_additive")
-    cov, _ = scaling_adapted_cov(b.ctx)
+    cov = scaling_adapted_cov(b.ctx)
     g = transform_W(b.system, cov, CONFIG)
     quoted = parse("(lam + (1/2)*mu^2/(1 - mu*w)^2)/(1 - mu*w)", b.ctx)
     assert expressions_equal(g.F[0], quoted, b.ctx, CONFIG).is_zero
@@ -214,7 +214,7 @@ def test_criterion_04_drift_as_quoted():
 
 def test_criterion_04_drift_verified():
     b = bundle("linear_additive")
-    cov, _ = scaling_adapted_cov(b.ctx)
+    cov = scaling_adapted_cov(b.ctx)
     g = transform_W(b.system, cov, CONFIG)
     verified = parse("(lam + (1/2)*mu^2/(1 - mu*w))/(1 - mu*w)", b.ctx)
     verdict = expressions_equal(g.F[0], verified, b.ctx, CONFIG)

@@ -143,6 +143,21 @@ def test_integrate_unusable_field_is_a_diagnostic(tmp_path, capsys, field):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_integrate_through_a_wiener_map(capsys):
+    argv = ["integrate", "--model", "linear_additive", "--field", "scaling",
+            "--cov", "builtin:scaling", "--json", "--paths"]
+    # the new variable is y = log x; x = e^y is the map's forward component
+    code, out, _ = run(capsys, *argv, "0")
+    assert code == EXIT_OK
+    assert json.loads(out)["new_variable"] == "log(x1)"
+    # the cross-check maps x0 forward and the terminals back as a map that fixes w
+    code, out, err = run(capsys, *argv, "200")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "fixes the Wiener variables" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_reduce_single_step(capsys):
     code, out, _ = run(
         capsys, "reduce", "--model", "isotropic_nonlinear_oscillator",
@@ -274,6 +289,22 @@ def test_dt_must_divide_the_horizon(capsys, argv):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error:") and "whole number of steps" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    # integrate reads one field and at most one change of variables
+    ["integrate", "--model", "exp_decay_diffusion", "--field", "shift", "--field", "not_a_symmetry",
+     "--cov", "rectify", "--cov", "nosuch", "--paths", "0"],
+    # reduce pairs each change of variables with a field
+    ["reduce", "--model", "linear_additive", "--field", "scaling",
+     "--cov", "builtin:scaling", "--cov", "builtin:scaling"],
+], ids=["integrate", "reduce"])
+def test_surplus_field_and_cov_flags_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "--cov" in err
     assert len(err.splitlines()) == 1
 
 

@@ -4,6 +4,7 @@ import pytest
 from sdesym.cli import bundled_model, model_dir
 from sdesym.expr import Const, ZERO, parse
 from sdesym.modelfile import ModelFileError, load_model, render_system
+from sdesym.reduction import transform_W
 from sdesym.sde import ItoSystem, StratSystem, ito_to_strat
 from sdesym.symmetry import GeneralH, LinearW
 
@@ -130,8 +131,21 @@ inverse1 = log(x)
 """
     b = load_model("inline", text=text)
     cov = b.covs["c"]
-    assert cov.direction == "old_to_new"
+    assert cov.wiener is None
     assert cov.inverse is not None
+    # the direction is what R implies: a stated one that disagrees is refused
+    for section in ("direction = new_to_old\nphi1 = exp(x)\n",
+                    "direction = old_to_new\nphi1 = -x\nR = [[-1]]\n"):
+        with pytest.raises(ModelFileError, match=r"^\[changeofvars\.c\]: direction") as err:
+            load_model("inline", text=MINIMAL + "\n[changeofvars.c]\n" + section)
+        assert len(str(err.value).splitlines()) == 1
+    # a map with R and no direction key is the Wiener map it describes
+    reflection = MINIMAL + "\n[changeofvars.c]\nphi1 = -x\nR = [[-1]]\n"
+    implied = load_model("inline", text=reflection)
+    stated = load_model("inline", text=reflection.replace("phi1", "direction = new_to_old\nphi1"))
+    assert isinstance(implied.covs["c"].wiener, LinearW)
+    assert (transform_W(implied.system, implied.covs["c"]).to_dict()
+            == transform_W(stated.system, stated.covs["c"]).to_dict())
 
 
 def test_unknown_section_rejected():

@@ -551,7 +551,7 @@ def test_pipeline_crosscheck_numeric_inverse_matches_symbolic():
     cov = b.covs["rectify"]
     step = reduce_step(b.system, b.vectorfields["shift"], cov)
     form = integrate_scalar(step.transformed)
-    no_inverse = ChangeOfVariables(b.ctx, cov.forward, direction=cov.direction)
+    no_inverse = ChangeOfVariables(b.ctx, cov.forward)
     assert no_inverse.inverse is None
     symbolic = pipeline_crosscheck(b.system, cov, form, 1.0, 0.4, 1e-3, 500, seed=3)
     numeric = pipeline_crosscheck(b.system, no_inverse, form, 1.0, 0.4, 1e-3, 500, seed=3)

@@ -86,7 +86,6 @@ def test_singular_jacobian_detected():
     cov = ChangeOfVariables(
         ctx,
         (parse("x1 + x2", ctx), parse("2*x1 + 2*x2", ctx)),
-        direction="old_to_new",
     )
     with pytest.raises(ReductionError, match="singular"):
         cov.lambda_
@@ -96,7 +95,7 @@ def test_jacobian_identity_check():
     b = bundle("exp_decay_diffusion")
     verdicts = b.covs["rectify"].jacobian_identity_check()
     assert all(v.is_zero for v in verdicts)
-    cov, _ = rotation_adapted_cov(Context(n=2, m=2))
+    cov = rotation_adapted_cov(Context(n=2, m=2))
     assert all(v.is_zero for v in cov.jacobian_identity_check())
 
 
@@ -197,7 +196,7 @@ def test_transform_exp_decay_diffusion_is_arithmetic_brownian():
 def test_transform_identity_map():
     b = bundle("linear_additive")
     cov = ChangeOfVariables(
-        b.ctx, (parse("x", b.ctx),), direction="old_to_new",
+        b.ctx, (parse("x", b.ctx),),
         inverse=(parse("x", b.ctx),),
     )
     g = transform_ito(b.system, cov)
@@ -208,7 +207,7 @@ def test_transform_identity_map():
 
 def test_ito_preservation_check_deterministic_map_always_passes():
     b = bundle("linear_additive")
-    cov = ChangeOfVariables(b.ctx, (parse("x^3 + t", b.ctx),), direction="old_to_new")
+    cov = ChangeOfVariables(b.ctx, (parse("x^3 + t", b.ctx),))
     assert all(v.is_zero for v in ito_preservation_check(b.system, cov))
 
 
@@ -226,14 +225,14 @@ def test_ito_preservation_check_obstruction_value():
 def test_ito_preservation_additive_shift_map():
     # Phi = x + w with constant sigma stays Ito
     b = bundle("linear_additive")
-    cov = ChangeOfVariables(b.ctx, (parse("x + w", b.ctx),), direction="old_to_new")
+    cov = ChangeOfVariables(b.ctx, (parse("x + w", b.ctx),))
     assert all(v.is_zero for v in ito_preservation_check(b.system, cov))
 
 
 def test_transform_ito_lets_a_nonzero_verdict_decide():
     ctx = SCALAR
     sys_ = ItoSystem(ctx, (parse("log(-1 - x^2)", ctx),), ((ONE,),))
-    cov = ChangeOfVariables(ctx, (parse("x*w + w^2/2", ctx),), direction="old_to_new")
+    cov = ChangeOfVariables(ctx, (parse("x*w + w^2/2", ctx),))
     g = transform_ito(sys_, cov)
     # the drift is undefined everywhere, so L0(d_w Phi) cannot be sampled,
     # but L1(d_w Phi) = 2 is a witness that the map leaves the Ito class
@@ -247,7 +246,7 @@ def test_transform_ito_lets_a_nonzero_verdict_decide():
 
 def test_scaling_adapted_transform_linear_additive():
     b = bundle("linear_additive")
-    cov, coords = scaling_adapted_cov(b.ctx)
+    cov = scaling_adapted_cov(b.ctx)
     g = transform_W(b.system, cov)
     assert expressions_equal(g.S[0][0], parse("mu/(1 - mu*w)", b.ctx), b.ctx).is_zero
     assert expressions_equal(
@@ -263,7 +262,7 @@ def test_ito_transforms_reject_a_stratonovich_system():
     with pytest.raises(ValueError, match="compatibility_check"):
         compatibility_check(strat, parse("x", b.ctx))
     with pytest.raises(ValueError, match="transform_W"):
-        transform_W(strat, scaling_adapted_cov(b.ctx)[0])
+        transform_W(strat, scaling_adapted_cov(b.ctx))
     decay = bundle("exp_decay_diffusion")
     decay_strat = ito_to_strat(decay.system)
     rectify = decay.covs["rectify"]
@@ -304,7 +303,7 @@ def test_transform_W_computes_each_laplacian_once(monkeypatch):
 def test_identity_w_map():
     b = bundle("linear_additive")
     cov = ChangeOfVariables(
-        b.ctx, (parse("x", b.ctx),), direction="new_to_old",
+        b.ctx, (parse("x", b.ctx),),
         wiener=LinearW.from_matrix(np.eye(1)), inverse=(parse("x", b.ctx),),
         inverse_drivers=(parse("w", b.ctx),),
     )
@@ -316,7 +315,7 @@ def test_identity_w_map():
 
 def test_the_wiener_action_is_one_field():
     b = bundle("linear_additive")
-    cov = ChangeOfVariables(b.ctx, (parse("x", b.ctx),), direction="new_to_old",
+    cov = ChangeOfVariables(b.ctx, (parse("x", b.ctx),),
                             wiener=LinearW.from_matrix([[2.0]]))
     # a copy with a new map carries no stale H: it transforms with H = 3*w1
     tripled = replace(cov, wiener=LinearW.from_matrix([[3.0]]))
@@ -329,7 +328,7 @@ def test_the_wiener_action_is_one_field():
         replace(cov, wiener=LinearW.from_matrix(np.eye(2)))
     two = Context(1, 2)
     with pytest.raises(ReductionError, match="wiener map"):  # ragged rows
-        ChangeOfVariables(two, (parse("x", two),), direction="new_to_old", wiener=LinearW(((1, 0), (0,))))
+        ChangeOfVariables(two, (parse("x", two),), wiener=LinearW(((1, 0), (0,))))
     with pytest.raises(ReductionError, match="wiener map"):
         replace(cov, wiener=GeneralH((parse("w", b.ctx), parse("w", b.ctx))))
     text = ("[system]\nn = 1\nm = 1\nf1 = -x\nsigma_1_1 = 1\n\n"
@@ -349,7 +348,7 @@ def test_transform_W_drift_is_ito_correct_or_not_labelled_wiener(scale):
     # x = Phi(y) with w = scale*z: Ito's formula gives S = scale*s~/Phi' and
     # F = (f~ - (1/2) Phi'' s~^2 / Phi'^2) / Phi' for every scale
     b = load_model("cubic", text="[system]\nn = 1\nm = 1\nf1 = -x\nsigma_1_1 = 1 + x\n")
-    cov = ChangeOfVariables(b.ctx, (parse("x + x^3/3", b.ctx),), direction="new_to_old",
+    cov = ChangeOfVariables(b.ctx, (parse("x + x^3/3", b.ctx),),
                             wiener=LinearW.from_matrix([[scale]]))
     g = transform_W(b.system, cov)
     ito_drift = parse(
@@ -377,6 +376,29 @@ def test_rectification_log_and_ratio():
     assert result.rectified and result.translation_index == 0
 
 
+@pytest.mark.parametrize("adapted, n, m, want", [
+    (scaling_adapted_cov, 1, 1, ["log(x1)", "w1/x1"]),
+    (scaling_adapted_cov, 2, 2, ["log(x1)", "x2/x1", "w1/x1", "w2/x1"]),
+    (scaling_adapted_cov, 3, 1, ["log(x1)", "x2/x1", "x3/x1", "w1/x1"]),
+    (rotation_adapted_cov, 2, 2,
+     ["sqrt(x1^2 + x2^2)", "arctan(x2/x1) - 1*arctan(w2/w1)", "sqrt(w1^2 + w2^2)", "arctan(w2/w1)"]),
+])
+def test_new_coordinates_of_the_adapted_maps(adapted, n, m, want):
+    # the new states, then the new drivers, in the old variables
+    assert [to_string(e) for e in adapted(Context(n=n, m=m)).new_coordinates()] == want
+
+
+def test_new_coordinates_of_a_map_that_fixes_w():
+    ctx = Context(n=2, m=2)
+    cov = ChangeOfVariables(ctx, (parse("x1 + x2", ctx), parse("exp(x2)*w1", ctx)))
+    assert cov.new_coordinates() == [*cov.forward, Var(wiener(1)), Var(wiener(2))]
+    # a Wiener map names its new coordinates only through its inverse
+    split = ChangeOfVariables(ctx, cov.forward, wiener=LinearW.from_matrix(np.eye(2)),
+                              inverse=cov.forward)
+    with pytest.raises(ReductionError, match="inverse coordinate expressions"):
+        split.new_coordinates()
+
+
 def test_rectification_polar_pair():
     ctx = Context(n=2, m=2)
     X = VectorField(
@@ -384,8 +406,7 @@ def test_rectification_polar_pair():
         (parse("-x2", ctx), parse("x1", ctx)),
         noise=LinearW.from_matrix([[0.0, -1.0], [1.0, 0.0]]),
     )
-    cov, coords = rotation_adapted_cov(ctx)
-    result = rectification_check(X, coords)
+    result = rectification_check(X, rotation_adapted_cov(ctx).new_coordinates())
     assert result.rectified
     assert result.translation_index == 3  # the driver angle
     assert result.verdicts == ["zero", "zero", "zero", "one"]
@@ -424,14 +445,14 @@ def test_reduce_step_rejects_non_symmetry():
 
 def test_reduce_step_rejects_non_rectifying_cov():
     b = bundle("exponential_drift")
-    bad = ChangeOfVariables(b.ctx, (parse("x^2", b.ctx),), direction="old_to_new")
+    bad = ChangeOfVariables(b.ctx, (parse("x^2", b.ctx),))
     with pytest.raises(ReductionError, match="rectify"):
         reduce_step(b.system, b.vectorfields["random"], bad)
 
 
 def test_reduce_step_rotation_2d():
     b = bundle("isotropic_nonlinear_oscillator")
-    cov, _ = rotation_adapted_cov(b.ctx)
+    cov = rotation_adapted_cov(b.ctx)
     step = reduce_step(b.system, b.vectorfields["rotation"], cov)
     assert step.translation_kind == "driver"
     assert step.coefficients_translation_free
@@ -454,8 +475,8 @@ def test_reduce_sequence_w_pair_aborts_after_first_step():
     b = bundle("isotropic_oscillator_2d")
     scaling = b.vectorfields["scaling"]
     rotation = b.vectorfields["rotation"]
-    cov1, _ = scaling_adapted_cov(b.ctx)
-    cov2, _ = rotation_adapted_cov(b.ctx)
+    cov1 = scaling_adapted_cov(b.ctx)
+    cov2 = rotation_adapted_cov(b.ctx)
     chain = reduce_sequence(b.system, [scaling, rotation], [cov1, cov2])
     assert not chain.completed
     assert len(chain.steps) == 1
@@ -472,7 +493,7 @@ def test_reduce_sequence_ordering_validation():
     trans = VectorField(ctx, (ONE, ZERO))
     scale = VectorField(ctx, (parse("x1", ctx), ZERO))
     cov = ChangeOfVariables(
-        ctx, (parse("x1", ctx), parse("x2", ctx)), direction="old_to_new",
+        ctx, (parse("x1", ctx), parse("x2", ctx)),
         inverse=(parse("x1", ctx), parse("x2", ctx)),
     )
     with pytest.raises(ReductionError, match="ordering"):
@@ -497,7 +518,6 @@ def test_pushforward_split_scaling_map_preserves_symmetry():
     cov = ChangeOfVariables(
         b.ctx,
         (simplify(mul(Const(np.exp(s)), Var(state(1)))),),
-        direction="new_to_old",
         wiener=LinearW.from_matrix([[np.exp(s)]]),
     )
     g = transform_W(b.system, cov)
@@ -518,7 +538,7 @@ def test_pushforward_split_rotation_map_preserves_symmetry():
         simplify(add(mul(Const(c), Var(state(1))), mul(Const(-s), Var(state(2))))),
         simplify(add(mul(Const(s), Var(state(1))), mul(Const(c), Var(state(2))))),
     )
-    cov = ChangeOfVariables(b.ctx, forward, direction="new_to_old", wiener=LinearW.from_matrix(rot))
+    cov = ChangeOfVariables(b.ctx, forward, wiener=LinearW.from_matrix(rot))
     g = transform_W(b.system, cov)
     assert g.ito_like is True
     transformed = ItoSystem(
@@ -536,7 +556,7 @@ def test_pushforward_split_rotation_map_preserves_symmetry():
 def test_integrate_scalar_rejects_state_dependence():
     b = bundle("linear_additive")
     cov = ChangeOfVariables(
-        b.ctx, (parse("x", b.ctx),), direction="old_to_new",
+        b.ctx, (parse("x", b.ctx),),
         inverse=(parse("x", b.ctx),),
     )
     g = transform_ito(b.system, cov)
@@ -547,7 +567,7 @@ def test_integrate_scalar_rejects_state_dependence():
 def test_integrate_scalar_constant_coefficients():
     b = bundle("constant_coefficients")
     cov = ChangeOfVariables(
-        b.ctx, (parse("x", b.ctx),), direction="old_to_new",
+        b.ctx, (parse("x", b.ctx),),
         inverse=(parse("x", b.ctx),),
     )
     form = integrate_scalar(transform_ito(b.system, cov))
@@ -559,14 +579,14 @@ def test_numeric_inverse_damped_newton():
     from sdesym.reduction import numeric_inverse
 
     b = bundle("exponential_drift")
-    cov = ChangeOfVariables(b.ctx, b.covs["rectify"].forward, direction="old_to_new")
+    cov = ChangeOfVariables(b.ctx, b.covs["rectify"].forward)
     solve = numeric_inverse(cov)
     # forward: y = -exp(w - x); at w = 0.3, x = 1.2 -> y = -exp(-0.9)
     y = -np.exp(0.3 - 1.2)
     x = solve(y, 0.0, [0.3], x_start=0.5)
     assert x == pytest.approx(1.2, abs=1e-10)
     with pytest.raises(ReductionError):
-        numeric_inverse(ChangeOfVariables(b.ctx, cov.forward, direction="new_to_old"))
+        numeric_inverse(ChangeOfVariables(b.ctx, cov.forward, wiener=LinearW.from_matrix([[1]])))
 
 
 def test_compatibility_biconditional_time_rescaling_instance():
@@ -581,7 +601,7 @@ def test_compatibility_biconditional_time_rescaling_instance():
     res = compatibility_check(b.system, phi)
     assert res.compatible is True
     variable = integrating_variable(phi, b.ctx)
-    cov = ChangeOfVariables(b.ctx, (variable,), direction="old_to_new")
+    cov = ChangeOfVariables(b.ctx, (variable,))
     g = transform_ito(b.system, cov)
     assert g.ito_like is True
     # transformed drift vanishes: pure time-rescaled noise remains
@@ -598,7 +618,7 @@ TRANSFORM_ORACLE = json.loads((Path(__file__).parent / "transform_oracle.json").
 def transform_records(seed: int, count: int):
     """``to_dict()`` of the transformed system, with the statuses behind its
     ``ito_like``, for ``count`` random split maps, the two built-in adapted
-    maps and every bundled old-to-new change of variables (a Stratonovich
+    maps and every bundled change of variables that fixes w (a Stratonovich
     model is transformed in its Ito form)."""
     rng = np.random.default_rng(seed)
     cases = []
@@ -608,12 +628,12 @@ def transform_records(seed: int, count: int):
     for name, adapted in (("linear_additive", scaling_adapted_cov),
                           ("isotropic_nonlinear_oscillator", rotation_adapted_cov)):
         b = bundle(name)
-        cases.append((f"{name}/{adapted.__name__}", transform_W, b.system, adapted(b.ctx)[0], b.box))
+        cases.append((f"{name}/{adapted.__name__}", transform_W, b.system, adapted(b.ctx), b.box))
     for path in sorted(model_dir().glob("*.model")):
         b = load_model(path)
         ito = b.system if b.system.calculus == "ito" else strat_to_ito(b.system)
         for cov_name, cov in sorted(b.covs.items()):
-            if cov.direction == "old_to_new":
+            if cov.wiener is None:
                 cases.append((f"{path.stem}/{cov_name}", transform_ito, ito, cov, b.box))
     for key, transform, sys_, cov, box in cases:
         config = ZeroTestConfig() if box is None else ZeroTestConfig(box=box)

@@ -17,7 +17,6 @@ from sdesym.expr import (
     wiener,
 )
 from sdesym.sde import (
-    DriftCorrection,
     ItoSystem,
     ModelError,
     StratSystem,
@@ -91,13 +90,13 @@ def test_laplacian_cancels_on_exponential_difference():
 
 def test_drift_correction_constant_sigma_vanishes():
     sys_ = scalar_system("lam*x", "mu")
-    rho = drift_correction(sys_.sigma, sys_.ctx).rho
+    rho = drift_correction(sys_.sigma, sys_.ctx)
     assert rho == (ZERO,)
 
 
 def test_drift_correction_power_noise():
     sys_ = scalar_system("lam*x", "mu*x^alpha")
-    rho = drift_correction(sys_.sigma, sys_.ctx).rho[0]
+    rho = drift_correction(sys_.sigma, sys_.ctx)[0]
     target = parse("(1/2)*alpha*mu^2*x^(2*alpha - 1)", sys_.ctx)
     assert expressions_equal(rho, target, sys_.ctx).is_zero
 
@@ -105,7 +104,7 @@ def test_drift_correction_power_noise():
 def test_drift_correction_2d_diagonal_constant():
     ctx = Context(n=2, m=2)
     sigma = ((parse("mu1", ctx), ZERO), (ZERO, parse("mu2", ctx)))
-    rho = drift_correction(sigma, ctx).rho
+    rho = drift_correction(sigma, ctx)
     assert rho == (ZERO, ZERO)
 
 
