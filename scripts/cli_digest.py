@@ -15,15 +15,17 @@ checkout lives.  Run it on two checkouts and diff the outputs:
 The commands: ``check --force --json`` on every bundled model at
 ``--seed 0`` and ``--seed 7``, ``examples --json``, two ``reduce --json``
 runs with the built-in adapted maps, one with the model file's ``rectify``
-map, two ``integrate --json`` runs, and
-``simulate`` on ``linear_additive`` (CSV on stdout and ``--json``),
+map, two ``integrate --json`` runs, and ``simulate`` on
+``linear_additive`` (CSV on stdout and ``--json``),
 ``isotropic_nonlinear_oscillator`` from ``--x0 10`` (2-D, some paths
-excluded), ``power_noise`` (some paths excluded) and
-``linear_strat_oscillator`` (Heun).  Four commands end in a diagnostic
-(exit 1): ``simulate --dt 0.3`` and ``integrate --horizon 0.25 --dt 0.1``,
-whose dt does not divide the horizon into whole steps; ``integrate`` with
-two ``--field`` and two ``--cov`` flags; and ``reduce`` with more ``--cov``
-than ``--field`` flags.
+excluded) at 500 and 20001 paths (an odd count, which two increment
+producer threads split unevenly), ``power_noise`` (some paths excluded)
+and ``linear_strat_oscillator`` (Heun) at 2000 and 20000 paths.  Four
+commands end in a diagnostic (exit 1): ``simulate --dt 0.3`` and
+``integrate --horizon 0.25 --dt 0.1``, whose dt does not divide the
+horizon into whole steps; ``integrate`` with two ``--field`` and two
+``--cov`` flags; and ``reduce`` with more ``--cov`` than ``--field``
+flags.
 """
 
 import hashlib
@@ -54,6 +56,9 @@ def commands():
            "--paths", "500", "--dt", "0.01", "--json"]
     yield ["simulate", "--model", "power_noise", "--paths", "2000", "--dt", "0.01", "--json"]
     yield ["simulate", "--model", "linear_strat_oscillator", "--paths", "2000", "--dt", "0.01", "--json"]
+    yield ["simulate", "--model", "isotropic_nonlinear_oscillator", "--x0", "10",
+           "--paths", "20001", "--dt", "0.01", "--json"]
+    yield ["simulate", "--model", "linear_strat_oscillator", "--paths", "20000", "--dt", "0.01", "--json"]
     yield ["simulate", "--model", "linear_additive", "--paths", "10", "--dt", "0.3"]
     yield ["integrate", "--model", "exp_decay_diffusion", "--field", "shift",
            "--horizon", "0.25", "--dt", "0.1"]

@@ -20,11 +20,19 @@ quadrature and grid draws from it.  Runs that share increments (the two
 ensembles of a symmetry validation, the two halves of a pipeline
 cross-check, a scheme comparison) are stepped in lockstep by one loop,
 `_lockstep`, on one draw per step, so each increment is generated once.
+That loop draws ahead: while the calling thread steps, producer threads,
+one for each CPU of the process's affinity set beyond the stepping one
+(and at least one), fill blocks of several steps, each over its own range
+of paths.  No setting changes this, and because each value depends only
+on (seed, path, step, component), no output depends on the number of
+CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -55,6 +63,12 @@ GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _DIVERGENCE_BOUND = 1e10
+# `_lockstep` draws increments ahead in blocks of about this many values
+# (1 MiB of float64; a block holds at least one step), in a ring of _RING
+# buffers: one is stepped through while the next is filled.  With the
+# producers' scratch the loop holds about three blocks.
+_BLOCK_VALUES = 1 << 17
+_RING = 2
 
 
 class FlowError(ValueError):
@@ -93,39 +107,44 @@ def _path_keys(seed: int, n_paths: int) -> np.ndarray:
 
 
 def _uniforms(path_keys: np.ndarray, positions: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill the float64 array ``out`` of shape (len(path_keys), len(positions))
-    with uniforms in (0, 1); ``bits`` is uint64 scratch of that shape.
-    Returns ``out``."""
-    np.add(path_keys[:, None], GOLDEN * (positions + np.uint64(1)), out=bits)
+    """Fill the float64 array ``out`` of shape (steps, len(path_keys), m)
+    with the uniforms in (0, 1) of each path at the (steps, m) counter
+    ``positions``; ``bits`` is uint64 scratch of that shape.  Returns
+    ``out``."""
+    np.add(path_keys[:, None], GOLDEN * (positions[:, None, :] + np.uint64(1)), out=bits)
     _mix13(bits, out.view(np.uint64))  # out is free until the conversion below
     np.right_shift(bits, np.uint64(11), out=bits)
-    np.copyto(out, bits)
-    out += 0.5
+    np.add(bits, 0.5, out=out)  # bits < 2^53 converts exactly
     out *= 2.0 ** -53
     return out
 
 
 class Increments:
-    """Brownian increments of (seed, n_paths, m, dt), one time step at a time.
+    """Brownian increments of (seed, n_paths, m, dt).
 
-    The path keys are computed once.  ``step(s)`` returns the (n_paths, m)
-    block Delta W of step s in a buffer that the next call overwrites;
-    readers must not write into it."""
+    The path keys are computed once.  ``fill(out, s0, lo)`` writes the
+    increments of steps s0, s0 + 1, ... for paths lo, lo + 1, ... into the
+    (steps, paths, m) array ``out``.  ``step(s)`` is the one-step fill of
+    every path: the (n_paths, m) block Delta W of step s."""
 
     def __init__(self, seed: int, n_paths: int, m: int, dt: float):
         self.keys = _path_keys(seed, n_paths)
         self.m = m
         self.sqrt_dt = math.sqrt(dt)
         self._components = np.arange(m, dtype=np.uint64)
-        self._bits = np.empty((n_paths, m), dtype=np.uint64)
-        self._block = np.empty((n_paths, m))
+
+    def fill(self, out: np.ndarray, s0: int, lo: int = 0) -> np.ndarray:
+        count, paths, m = out.shape
+        steps = np.arange(s0, s0 + count, dtype=np.uint64)
+        positions = steps[:, None] * np.uint64(m) + self._components
+        bits = np.empty(out.shape, dtype=np.uint64)
+        _uniforms(self.keys[lo : lo + paths], positions, bits, out)
+        ndtri(out, out=out)
+        out *= self.sqrt_dt
+        return out
 
     def step(self, s: int) -> np.ndarray:
-        positions = np.uint64(s) * np.uint64(self.m) + self._components
-        u = _uniforms(self.keys, positions, self._bits, self._block)
-        ndtri(u, out=u)
-        u *= self.sqrt_dt
-        return u
+        return self.fill(np.empty((1, len(self.keys), self.m)), s)[0]
 
 
 def step_normals(seed: int, n_paths: int, step: int, m: int, dt: float) -> np.ndarray:
@@ -198,17 +217,86 @@ def _snapshot_steps(steps: int, snapshots: int) -> np.ndarray:
     return idx
 
 
+def _producer_count() -> int:
+    """The increment producers of `_lockstep`: one per CPU this process may
+    run on besides the one that steps, and at least one."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, cpus - 1)
+
+
 def _lockstep(steppers: Sequence, seed: int, n_paths: int, m: int, t0: float, dt: float, steps: int) -> None:
-    """The only time-step loop: draw each step's increments once and advance
-    every stepper on them, in order.  A stepper reads the shared block and
-    never writes into it."""
+    """The only time-step loop: advance every stepper on each step's
+    increments, in order.  A stepper reads the shared block and never writes
+    into it.
+
+    The increments are drawn ahead by producer threads (`_producer_count`),
+    each over its own contiguous range of paths, in blocks of about
+    ``_BLOCK_VALUES`` values (at least one step) held in a ring of
+    ``_RING`` reused buffers.  This thread waits until every producer has
+    filled a block, steps through it, and then releases it; a producer
+    refills a buffer only after its release.  An exception in any thread
+    stops the others and is raised here, and every producer has ended when
+    the call returns."""
     increments = Increments(seed, n_paths, m, dt)
-    with np.errstate(all="ignore"):
-        for s in range(steps):
-            dW = increments.step(s)
-            t = t0 + s * dt
-            for stepper in steppers:
-                stepper.step(s, t, dW)
+    per_block = min(steps, max(1, _BLOCK_VALUES // max(n_paths * m, 1)))
+    n_blocks = -(-steps // per_block)
+    ring = [np.empty((per_block, n_paths, m)) for _ in range(min(_RING, n_blocks))]
+    producers = min(_producer_count(), max(n_paths, 1))
+    bounds = [p * n_paths // producers for p in range(producers + 1)]
+    changed = threading.Condition()
+    filled = [0] * n_blocks  # producers done with each block
+    released = 0  # blocks this thread has stepped through
+    failures: List[BaseException] = []
+    stop = False
+
+    def block(i: int) -> np.ndarray:
+        return ring[i % len(ring)][: min(per_block, steps - i * per_block)]
+
+    def produce(lo: int, hi: int) -> None:
+        try:
+            with np.errstate(all="ignore"):
+                for i in range(n_blocks):
+                    with changed:
+                        changed.wait_for(lambda: stop or released > i - len(ring))
+                        if stop:
+                            return
+                    increments.fill(block(i)[:, lo:hi], i * per_block, lo)
+                    with changed:
+                        filled[i] += 1
+                        changed.notify_all()
+        except BaseException as exc:
+            with changed:
+                failures.append(exc)
+                changed.notify_all()
+
+    threads = [threading.Thread(target=produce, args=bounds[p : p + 2], daemon=True)
+               for p in range(producers)]
+    for thread in threads:
+        thread.start()
+    try:
+        with np.errstate(all="ignore"):
+            for i in range(n_blocks):
+                with changed:
+                    changed.wait_for(lambda: failures or filled[i] == producers)
+                    if failures:
+                        raise failures[0]
+                for j, dW in enumerate(block(i)):
+                    s = i * per_block + j
+                    t = t0 + s * dt
+                    for stepper in steppers:
+                        stepper.step(s, t, dW)
+                with changed:
+                    released = i + 1
+                    changed.notify_all()
+    finally:
+        with changed:
+            stop = True
+            changed.notify_all()
+        for thread in threads:
+            thread.join()
 
 
 class Run(NamedTuple):
@@ -681,6 +769,11 @@ class _Quadrature:
     def __init__(self, sf: SolutionForm, t0: float, dt: float, n_paths: int, x0: float):
         m = sf.ctx.m
         columns = (TIME,) + sf.ctx.wieners()
+        held = set().union(*(free_vars(e) for e in (sf.drift, *sf.noises[:m]))).difference(columns)
+        if held:
+            names = ", ".join(sorted(v.name for v in held))
+            raise ReductionError(f"the solution form still depends on {names}; "
+                                 "its integrands may hold only t and w")
         self.drift = Kernel([sf.drift], columns, sf.ctx.params)
         self.noises = Kernel(sf.noises[:m], columns, sf.ctx.params)
         self.m, self.dt, self.n_paths, self.x0 = m, dt, n_paths, x0

@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdesym import cli
 from sdesym.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, _emit, main, model_dir
+from sdesym.expr import ONE, parse
 from sdesym.modelfile import ModelFileError, load_model
+from sdesym.reduction import SolutionForm
 
 
 def run(capsys, *argv):
@@ -155,6 +158,22 @@ def test_integrate_through_a_wiener_map(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error:") and "fixes the Wiener variables" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_integrate_refuses_a_form_that_holds_a_state_variable(monkeypatch, capsys):
+    # a form that kept x1 (sampled zero tests certify state-freeness, not the
+    # tree) is one diagnostic, not an evaluation error from the quadrature
+    def stale_form(gsde, config=None):
+        ctx = gsde.ctx
+        return SolutionForm(ctx, ONE, (parse("exp(x1)/(exp(x1) - w1*exp(x1))", ctx),))
+
+    monkeypatch.setattr(cli, "integrate_scalar", stale_form)
+    code, out, err = run(capsys, "integrate", "--model", "exp_decay_diffusion", "--field", "shift",
+                         "--cov", "rectify", "--paths", "200", "--json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "x1" in err
     assert len(err.splitlines()) == 1
 
 

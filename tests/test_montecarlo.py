@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -7,8 +9,9 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from sdesym.cli import bundled_model
-from sdesym.expr import Context, ONE, ZERO, parse, state, wiener
+from sdesym import montecarlo as mc
+from sdesym.cli import bundled_model, model_dir
+from sdesym.expr import Context, ONE, ZERO, free_vars, parse, state, wiener
 from sdesym.modelfile import load_model
 from sdesym.montecarlo import (
     BrownianGrid,
@@ -16,6 +19,7 @@ from sdesym.montecarlo import (
     Increments,
     Run,
     _affine_generator,
+    _lockstep,
     _simulate,
     apply_group_map,
     ensemble_stats,
@@ -30,9 +34,9 @@ from sdesym.montecarlo import (
     step_normals,
     symmetry_validation,
 )
-from sdesym.reduction import ChangeOfVariables, SolutionForm, integrate_scalar, reduce_step
+from sdesym.reduction import ChangeOfVariables, ReductionError, SolutionForm, integrate_scalar, reduce_step
 from sdesym.sde import ItoSystem, ito_to_strat
-from sdesym.symmetry import LinearW, VectorField
+from sdesym.symmetry import LinearW, SymmetryError, VectorField
 
 
 def bundle(name):
@@ -162,6 +166,119 @@ def test_lockstep_runs_equal_separate_runs():
             assert np.array_equal(lean.excluded, alone.excluded)
             excluded += int(ens.excluded.sum())
     assert excluded > 0
+
+
+# ---------------------------------------------------------------------------
+# the increment pipeline: producer threads draw blocks ahead of the step loop
+
+
+def _producers(monkeypatch, count):
+    monkeypatch.setattr(mc, "_producer_count", lambda: count, raising=False)
+
+
+def _pipeline_sets():
+    geometric = Context(n=1, m=1, params={"lam": -1.0, "mu": 0.3})
+    geo = ItoSystem(geometric, (parse("lam*x", geometric),), ((parse("mu*x", geometric),),))
+    oscillator = bundle("isotropic_oscillator_2d").system
+    angle = 0.4
+    rotation = np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]])
+    scalar = Context(n=1, m=1)
+    explosive = ItoSystem(scalar, (parse("x^3", scalar),), ((parse("x", scalar),),))
+    # (runs, paths, T, dt): path counts that neither two nor three producers
+    # split evenly, m = 2 with a dw_transform, and divergent paths
+    return [
+        ([Run(geo, [1.0]), Run(ito_to_strat(geo), [1.0])], 301, 0.25, 1e-3),
+        ([Run(oscillator, [0.5, -0.3], rotation), Run(ito_to_strat(oscillator), [0.5, -0.3])],
+         97, 0.2, 1e-3),
+        ([Run(explosive, [1.0])], 200, 0.5, 1e-2),
+    ]
+
+
+@pytest.mark.parametrize("block", [None, 250])
+def test_lockstep_ensembles_do_not_depend_on_the_producer_count(monkeypatch, block):
+    # with a 250-value block every set steps through many blocks that the
+    # ring reuses, and none of the step counts is a multiple of the block
+    if block is not None:
+        monkeypatch.setattr(mc, "_BLOCK_VALUES", block, raising=False)
+    excluded = 0
+    for runs, paths, T, dt in _pipeline_sets():
+        results = []
+        for count in (1, 2, 3):
+            _producers(monkeypatch, count)
+            results.append(_simulate(runs, 0.0, T, dt, paths, 23, snapshots=7))
+        for ensembles in results[1:]:
+            for ens, first in zip(ensembles, results[0]):
+                assert np.array_equal(ens.states, first.states)
+                assert np.array_equal(ens.w, first.w)
+                assert np.array_equal(ens.excluded, first.excluded)
+        excluded += sum(int(ens.excluded.sum()) for ens in results[0])
+    assert excluded > 0
+
+
+class _Recorder:
+    """A stepper that keeps a copy of every block of increments it is given
+    and checks that the block does not change while it holds it."""
+
+    def __init__(self):
+        self.seen = []
+
+    def step(self, s, t, dW):
+        copy = dW.copy()
+        time.sleep(1e-4)  # leave the producers time to run ahead
+        assert np.array_equal(dW, copy), f"the increments of step {s} changed while being read"
+        self.seen.append((s, copy))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("paths, m", [(101, 1), (50, 2)])
+def test_lockstep_hands_each_step_its_own_increments(monkeypatch, count, paths, m):
+    _producers(monkeypatch, count)
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 3 * paths * m + 1, raising=False)
+    recorder = _Recorder()
+    _lockstep([recorder], 5, paths, m, 0.0, 1e-2, 40)
+    increments = Increments(5, paths, m, 1e-2)
+    assert [s for s, _ in recorder.seen] == list(range(40))
+    for s, dW in recorder.seen:
+        assert np.array_equal(dW, increments.step(s))
+
+
+class _Failing:
+    def step(self, s, t, dW):
+        if s == 7:
+            raise RuntimeError("stepper failed")
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_a_stepper_error_reaches_the_caller_and_no_thread_remains(monkeypatch, count):
+    _producers(monkeypatch, count)
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 40, raising=False)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="stepper failed"):
+        _lockstep([_Recorder(), _Failing()], 1, 20, 1, 0.0, 1e-2, 50)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_a_producer_error_reaches_the_caller_and_no_thread_remains(monkeypatch, count):
+    _producers(monkeypatch, count)
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 40, raising=False)
+    calls = []
+    lock = threading.Lock()
+
+    def failing_ndtri(u, out=None):
+        with lock:
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("draw failed")
+        return ndtri(u, out=out)
+
+    monkeypatch.setattr(mc, "ndtri", failing_ndtri)
+    recorder = _Recorder()
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        _lockstep([recorder], 1, 20, 1, 0.0, 1e-2, 50)
+    assert threading.active_count() == before
+    assert len(recorder.seen) < 50
 
 
 # ---------------------------------------------------------------------------
@@ -558,3 +675,35 @@ def test_pipeline_crosscheck_numeric_inverse_matches_symbolic():
     assert numeric.excluded_fraction == symbolic.excluded_fraction
     assert numeric.terminal_mean_pipeline == pytest.approx(symbolic.terminal_mean_pipeline, rel=1e-12)
     assert numeric.terminal_mean_direct == pytest.approx(symbolic.terminal_mean_direct, rel=1e-12)
+
+
+def test_a_solution_form_holding_a_state_variable_is_refused():
+    ctx = Context(n=1, m=1, params={"mu": 0.3})
+    form = SolutionForm(ctx, ZERO, (parse("mu*exp(x1)/(exp(x1) - w1*mu*exp(x1))", ctx),))
+    before = threading.active_count()
+    with pytest.raises(ReductionError, match="x1"):
+        solution_form_terminals(form, 0.0, 0.1, 1e-2, 50, seed=1, x0=0.0)
+    assert threading.active_count() == before
+
+
+def test_bundled_maps_that_fix_w_give_state_free_forms():
+    integrated = set()
+    for path in sorted(model_dir().glob("*.model")):
+        b = load_model(path)
+        if b.system.calculus != "ito" or b.ctx.n != 1:
+            continue
+        for cov_name, cov in b.covs.items():
+            if cov.wiener is not None:
+                continue
+            for field_name, field in b.vectorfields.items():
+                try:
+                    form = integrate_scalar(reduce_step(b.system, field, cov).transformed)
+                except (ReductionError, SymmetryError):  # not a simple symmetry, or not integrable
+                    continue
+                for e in (form.drift, *form.noises):
+                    assert not free_vars(e) & set(b.ctx.states()), (path.stem, cov_name, field_name)
+                integrated.add((path.stem, cov_name, field_name))
+    assert integrated == {
+        ("exp_decay_diffusion", "rectify", "shift"),
+        ("exponential_drift", "rectify", "random"),
+    }
