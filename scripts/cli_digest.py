@@ -18,11 +18,10 @@ runs with the built-in adapted maps, one with the model file's ``rectify``
 map, two ``integrate --json`` runs, and ``simulate`` on
 ``linear_additive`` (CSV on stdout and ``--json``),
 ``isotropic_nonlinear_oscillator`` from ``--x0 10`` (2-D, some paths
-excluded) at 500 and 20001 paths (an odd count, which two increment
-producer threads split unevenly), ``power_noise`` (some paths excluded)
-and ``linear_strat_oscillator`` (Heun) at 2000 and 20000 paths.  Four
-commands end in a diagnostic (exit 1): ``simulate --dt 0.3`` and
-``integrate --horizon 0.25 --dt 0.1``, whose dt does not divide the
+excluded) at 500 and 20001 paths, ``power_noise`` (some paths
+excluded) and ``linear_strat_oscillator`` (Heun) at 2000 and 20000
+paths.  Four commands end in a diagnostic (exit 1): ``simulate --dt 0.3``
+and ``integrate --horizon 0.25 --dt 0.1``, whose dt does not divide the
 horizon into whole steps; ``integrate`` with two ``--field`` and two
 ``--cov`` flags; and ``reduce`` with more ``--cov`` than ``--field``
 flags.

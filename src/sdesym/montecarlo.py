@@ -20,18 +20,15 @@ quadrature and grid draws from it.  Runs that share increments (the two
 ensembles of a symmetry validation, the two halves of a pipeline
 cross-check, a scheme comparison) are stepped in lockstep by one loop,
 `_lockstep`, on one draw per step, so each increment is generated once.
-That loop draws ahead: while the calling thread steps, producer threads,
-one for each CPU of the process's affinity set beyond the stepping one
-(and at least one), fill blocks of several steps, each over its own range
-of paths.  No setting changes this, and because each value depends only
-on (seed, path, step, component), no output depends on the number of
-CPUs.
+That loop draws ahead: while the calling thread steps, one producer
+thread fills blocks of several steps.  No setting changes this, and
+because each value depends only on (seed, path, step, component), no
+output depends on the number of CPUs or on how the steps are blocked.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -66,7 +63,7 @@ _DIVERGENCE_BOUND = 1e10
 # `_lockstep` draws increments ahead in blocks of about this many values
 # (1 MiB of float64; a block holds at least one step), in a ring of _RING
 # buffers: one is stepped through while the next is filled.  With the
-# producers' scratch the loop holds about three blocks.
+# producer's scratch the loop holds about three blocks.
 _BLOCK_VALUES = 1 << 17
 _RING = 2
 
@@ -122,10 +119,10 @@ def _uniforms(path_keys: np.ndarray, positions: np.ndarray, bits: np.ndarray, ou
 class Increments:
     """Brownian increments of (seed, n_paths, m, dt).
 
-    The path keys are computed once.  ``fill(out, s0, lo)`` writes the
-    increments of steps s0, s0 + 1, ... for paths lo, lo + 1, ... into the
-    (steps, paths, m) array ``out``.  ``step(s)`` is the one-step fill of
-    every path: the (n_paths, m) block Delta W of step s."""
+    The path keys are computed once.  ``fill(out, s0)`` writes the
+    increments of steps s0, s0 + 1, ... into the (steps, n_paths, m) array
+    ``out``.  ``step(s)`` is its one-step case: the (n_paths, m) block
+    Delta W of step s."""
 
     def __init__(self, seed: int, n_paths: int, m: int, dt: float):
         self.keys = _path_keys(seed, n_paths)
@@ -133,12 +130,11 @@ class Increments:
         self.sqrt_dt = math.sqrt(dt)
         self._components = np.arange(m, dtype=np.uint64)
 
-    def fill(self, out: np.ndarray, s0: int, lo: int = 0) -> np.ndarray:
-        count, paths, m = out.shape
-        steps = np.arange(s0, s0 + count, dtype=np.uint64)
-        positions = steps[:, None] * np.uint64(m) + self._components
+    def fill(self, out: np.ndarray, s0: int) -> np.ndarray:
+        steps = np.arange(s0, s0 + len(out), dtype=np.uint64)
+        positions = steps[:, None] * np.uint64(self.m) + self._components
         bits = np.empty(out.shape, dtype=np.uint64)
-        _uniforms(self.keys[lo : lo + paths], positions, bits, out)
+        _uniforms(self.keys, positions, bits, out)
         ndtri(out, out=out)
         out *= self.sqrt_dt
         return out
@@ -217,37 +213,24 @@ def _snapshot_steps(steps: int, snapshots: int) -> np.ndarray:
     return idx
 
 
-def _producer_count() -> int:
-    """The increment producers of `_lockstep`: one per CPU this process may
-    run on besides the one that steps, and at least one."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, cpus - 1)
-
-
 def _lockstep(steppers: Sequence, seed: int, n_paths: int, m: int, t0: float, dt: float, steps: int) -> None:
     """The only time-step loop: advance every stepper on each step's
     increments, in order.  A stepper reads the shared block and never writes
     into it.
 
-    The increments are drawn ahead by producer threads (`_producer_count`),
-    each over its own contiguous range of paths, in blocks of about
-    ``_BLOCK_VALUES`` values (at least one step) held in a ring of
-    ``_RING`` reused buffers.  This thread waits until every producer has
-    filled a block, steps through it, and then releases it; a producer
-    refills a buffer only after its release.  An exception in any thread
-    stops the others and is raised here, and every producer has ended when
-    the call returns."""
+    The increments are drawn ahead by one producer thread, in blocks of
+    about ``_BLOCK_VALUES`` values (at least one step) held in a ring of
+    ``_RING`` reused buffers.  This thread waits until the producer has
+    filled a block, steps through it, and then releases it; the producer
+    refills a buffer only after its release.  An exception in either thread
+    stops the other and is raised here, and the producer has ended when the
+    call returns."""
     increments = Increments(seed, n_paths, m, dt)
     per_block = min(steps, max(1, _BLOCK_VALUES // max(n_paths * m, 1)))
     n_blocks = -(-steps // per_block)
     ring = [np.empty((per_block, n_paths, m)) for _ in range(min(_RING, n_blocks))]
-    producers = min(_producer_count(), max(n_paths, 1))
-    bounds = [p * n_paths // producers for p in range(producers + 1)]
     changed = threading.Condition()
-    filled = [0] * n_blocks  # producers done with each block
+    filled = 0  # blocks the producer has drawn
     released = 0  # blocks this thread has stepped through
     failures: List[BaseException] = []
     stop = False
@@ -255,7 +238,8 @@ def _lockstep(steppers: Sequence, seed: int, n_paths: int, m: int, t0: float, dt
     def block(i: int) -> np.ndarray:
         return ring[i % len(ring)][: min(per_block, steps - i * per_block)]
 
-    def produce(lo: int, hi: int) -> None:
+    def produce() -> None:
+        nonlocal filled
         try:
             with np.errstate(all="ignore"):
                 for i in range(n_blocks):
@@ -263,24 +247,22 @@ def _lockstep(steppers: Sequence, seed: int, n_paths: int, m: int, t0: float, dt
                         changed.wait_for(lambda: stop or released > i - len(ring))
                         if stop:
                             return
-                    increments.fill(block(i)[:, lo:hi], i * per_block, lo)
+                    increments.fill(block(i), i * per_block)
                     with changed:
-                        filled[i] += 1
+                        filled = i + 1
                         changed.notify_all()
         except BaseException as exc:
             with changed:
                 failures.append(exc)
                 changed.notify_all()
 
-    threads = [threading.Thread(target=produce, args=bounds[p : p + 2], daemon=True)
-               for p in range(producers)]
-    for thread in threads:
-        thread.start()
+    producer = threading.Thread(target=produce, daemon=True)
     try:
+        producer.start()
         with np.errstate(all="ignore"):
             for i in range(n_blocks):
                 with changed:
-                    changed.wait_for(lambda: failures or filled[i] == producers)
+                    changed.wait_for(lambda: failures or filled > i)
                     if failures:
                         raise failures[0]
                 for j, dW in enumerate(block(i)):
@@ -295,8 +277,8 @@ def _lockstep(steppers: Sequence, seed: int, n_paths: int, m: int, t0: float, dt
         with changed:
             stop = True
             changed.notify_all()
-        for thread in threads:
-            thread.join()
+        if producer.is_alive():
+            producer.join()
 
 
 class Run(NamedTuple):

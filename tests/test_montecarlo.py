@@ -169,11 +169,7 @@ def test_lockstep_runs_equal_separate_runs():
 
 
 # ---------------------------------------------------------------------------
-# the increment pipeline: producer threads draw blocks ahead of the step loop
-
-
-def _producers(monkeypatch, count):
-    monkeypatch.setattr(mc, "_producer_count", lambda: count, raising=False)
+# the increment pipeline: a producer thread draws blocks ahead of the step loop
 
 
 def _pipeline_sets():
@@ -184,8 +180,8 @@ def _pipeline_sets():
     rotation = np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]])
     scalar = Context(n=1, m=1)
     explosive = ItoSystem(scalar, (parse("x^3", scalar),), ((parse("x", scalar),),))
-    # (runs, paths, T, dt): path counts that neither two nor three producers
-    # split evenly, m = 2 with a dw_transform, and divergent paths
+    # (runs, paths, T, dt): odd path counts, m = 2 with a dw_transform, and
+    # divergent paths
     return [
         ([Run(geo, [1.0]), Run(ito_to_strat(geo), [1.0])], 301, 0.25, 1e-3),
         ([Run(oscillator, [0.5, -0.3], rotation), Run(ito_to_strat(oscillator), [0.5, -0.3])],
@@ -194,17 +190,16 @@ def _pipeline_sets():
     ]
 
 
-@pytest.mark.parametrize("block", [None, 250])
-def test_lockstep_ensembles_do_not_depend_on_the_producer_count(monkeypatch, block):
-    # with a 250-value block every set steps through many blocks that the
-    # ring reuses, and none of the step counts is a multiple of the block
-    if block is not None:
-        monkeypatch.setattr(mc, "_BLOCK_VALUES", block, raising=False)
+def test_lockstep_ensembles_do_not_depend_on_the_block_size(monkeypatch):
+    # with 250 values a block holds 1 or 2 steps, so every set steps through
+    # many blocks that the ring reuses, and one step per block is the other
+    # extreme; none of the step counts is a multiple of the default block
     excluded = 0
     for runs, paths, T, dt in _pipeline_sets():
         results = []
-        for count in (1, 2, 3):
-            _producers(monkeypatch, count)
+        for block in (None, 250, 1):
+            if block is not None:
+                monkeypatch.setattr(mc, "_BLOCK_VALUES", block, raising=False)
             results.append(_simulate(runs, 0.0, T, dt, paths, 23, snapshots=7))
         for ensembles in results[1:]:
             for ens, first in zip(ensembles, results[0]):
@@ -224,15 +219,13 @@ class _Recorder:
 
     def step(self, s, t, dW):
         copy = dW.copy()
-        time.sleep(1e-4)  # leave the producers time to run ahead
+        time.sleep(1e-4)  # leave the producer time to run ahead
         assert np.array_equal(dW, copy), f"the increments of step {s} changed while being read"
         self.seen.append((s, copy))
 
 
-@pytest.mark.parametrize("count", [1, 2, 3])
 @pytest.mark.parametrize("paths, m", [(101, 1), (50, 2)])
-def test_lockstep_hands_each_step_its_own_increments(monkeypatch, count, paths, m):
-    _producers(monkeypatch, count)
+def test_lockstep_hands_each_step_its_own_increments(monkeypatch, paths, m):
     monkeypatch.setattr(mc, "_BLOCK_VALUES", 3 * paths * m + 1, raising=False)
     recorder = _Recorder()
     _lockstep([recorder], 5, paths, m, 0.0, 1e-2, 40)
@@ -248,9 +241,7 @@ class _Failing:
             raise RuntimeError("stepper failed")
 
 
-@pytest.mark.parametrize("count", [1, 2, 3])
-def test_a_stepper_error_reaches_the_caller_and_no_thread_remains(monkeypatch, count):
-    _producers(monkeypatch, count)
+def test_a_stepper_error_reaches_the_caller_and_no_thread_remains(monkeypatch):
     monkeypatch.setattr(mc, "_BLOCK_VALUES", 40, raising=False)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="stepper failed"):
@@ -258,9 +249,7 @@ def test_a_stepper_error_reaches_the_caller_and_no_thread_remains(monkeypatch, c
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("count", [1, 2, 3])
-def test_a_producer_error_reaches_the_caller_and_no_thread_remains(monkeypatch, count):
-    _producers(monkeypatch, count)
+def test_a_producer_error_reaches_the_caller_and_no_thread_remains(monkeypatch):
     monkeypatch.setattr(mc, "_BLOCK_VALUES", 40, raising=False)
     calls = []
     lock = threading.Lock()
