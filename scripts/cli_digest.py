@@ -20,11 +20,12 @@ map, two ``integrate --json`` runs, and ``simulate`` on
 ``isotropic_nonlinear_oscillator`` from ``--x0 10`` (2-D, some paths
 excluded) at 500 and 20001 paths, ``power_noise`` (some paths
 excluded) and ``linear_strat_oscillator`` (Heun) at 2000 and 20000
-paths.  Four commands end in a diagnostic (exit 1): ``simulate --dt 0.3``
+paths.  Seven commands end in a diagnostic (exit 1): ``simulate --dt 0.3``
 and ``integrate --horizon 0.25 --dt 0.1``, whose dt does not divide the
 horizon into whole steps; ``integrate`` with two ``--field`` and two
-``--cov`` flags; and ``reduce`` with more ``--cov`` than ``--field``
-flags.
+``--cov`` flags; ``reduce`` with more ``--cov`` than ``--field``
+flags; ``simulate --csv-out`` into a directory that does not exist; and
+``integrate`` from ``--x0 nan`` and ``--x0 inf``.
 """
 
 import hashlib
@@ -68,6 +69,11 @@ def commands():
            "--paths", "0"]
     yield ["reduce", "--model", "linear_additive", "--field", "scaling",
            "--cov", "builtin:scaling", "--cov", "builtin:scaling"]
+    yield ["simulate", "--model", "linear_additive", "--paths", "10", "--dt", "0.1",
+           "--csv-out", "/nonexistent/dir/x.csv"]
+    for x0 in ("nan", "inf"):
+        yield ["integrate", "--model", "exp_decay_diffusion", "--field", "shift",
+               "--cov", "rectify", "--paths", "100", "--x0", x0]
 
 
 def digest(data: bytes) -> str:

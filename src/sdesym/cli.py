@@ -311,7 +311,11 @@ def cmd_simulate(args) -> int:
     stats = mc.ensemble_stats(ens)
     csv_text = stats.to_csv()
     if args.csv_out:
-        Path(args.csv_out).write_text(csv_text)
+        try:
+            Path(args.csv_out).write_text(csv_text)
+        except OSError as err:
+            print(f"error: cannot write {args.csv_out}: {err.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     payload = {
         "meta": {
             "model": str(bundle.path),

@@ -20,17 +20,20 @@ quadrature and grid draws from it.  Runs that share increments (the two
 ensembles of a symmetry validation, the two halves of a pipeline
 cross-check, a scheme comparison) are stepped in lockstep by one loop,
 `_lockstep`, on one draw per step, so each increment is generated once.
-That loop draws ahead: while the calling thread steps, one producer
-thread fills blocks of several steps.  No setting changes this, and
-because each value depends only on (seed, path, step, component), no
-output depends on the number of CPUs or on how the steps are blocked.
+That loop draws ahead: while the calling thread steps through one block
+of several steps, one executor worker fills the next into the other of
+two buffers.  Each fill is queued before the block ahead of it is
+awaited, so the worker never idles waiting to be handed work.  No setting
+changes this, and because each value depends only on (seed, path, step,
+component), no output depends on the number of CPUs or on how the steps
+are blocked.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,11 +64,10 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _DIVERGENCE_BOUND = 1e10
 # `_lockstep` draws increments ahead in blocks of about this many values
-# (1 MiB of float64; a block holds at least one step), in a ring of _RING
-# buffers: one is stepped through while the next is filled.  With the
-# producer's scratch the loop holds about three blocks.
+# (1 MiB of float64; a block holds at least one step), in two buffers: one
+# is stepped through while the worker fills the other.  With the worker's
+# scratch the loop holds about three blocks.
 _BLOCK_VALUES = 1 << 17
-_RING = 2
 
 
 class FlowError(ValueError):
@@ -165,10 +167,8 @@ class BrownianGrid:
     @staticmethod
     def generate(seed: int, path_index: int, t0: float, T: float, dt: float, m: int) -> "BrownianGrid":
         steps = _step_count(t0, T, dt)
-        source = Increments(seed, path_index + 1, m, dt)
-        incs = np.empty((steps, m))
-        for s in range(steps):
-            incs[s] = source.step(s)[path_index]
+        block = Increments(seed, path_index + 1, m, dt).fill(np.empty((steps, path_index + 1, m)), 0)
+        incs = block[:, path_index].copy()
         w = np.vstack([np.zeros((1, m)), np.cumsum(incs, axis=0)])
         return BrownianGrid(t0, T, dt, steps, m, seed, path_index, incs, w)
 
@@ -218,67 +218,34 @@ def _lockstep(steppers: Sequence, seed: int, n_paths: int, m: int, t0: float, dt
     increments, in order.  A stepper reads the shared block and never writes
     into it.
 
-    The increments are drawn ahead by one producer thread, in blocks of
-    about ``_BLOCK_VALUES`` values (at least one step) held in a ring of
-    ``_RING`` reused buffers.  This thread waits until the producer has
-    filled a block, steps through it, and then releases it; the producer
-    refills a buffer only after its release.  An exception in either thread
-    stops the other and is raised here, and the producer has ended when the
-    call returns."""
+    The increments are drawn ahead by one executor worker, in blocks of
+    about ``_BLOCK_VALUES`` values (at least one step) held in two reused
+    buffers.  Before this thread waits for block i it queues the fill of
+    block i + 1 into the buffer that block i - 1 has left, so the worker,
+    whose draws are most of a step's time, never waits for this thread to
+    hand it work.  An error in either thread is raised here, and the worker
+    has ended when the call returns."""
     increments = Increments(seed, n_paths, m, dt)
     per_block = min(steps, max(1, _BLOCK_VALUES // max(n_paths * m, 1)))
     n_blocks = -(-steps // per_block)
-    ring = [np.empty((per_block, n_paths, m)) for _ in range(min(_RING, n_blocks))]
-    changed = threading.Condition()
-    filled = 0  # blocks the producer has drawn
-    released = 0  # blocks this thread has stepped through
-    failures: List[BaseException] = []
-    stop = False
+    buffers = [np.empty((per_block, n_paths, m)) for _ in range(min(2, n_blocks))]
 
-    def block(i: int) -> np.ndarray:
-        return ring[i % len(ring)][: min(per_block, steps - i * per_block)]
-
-    def produce() -> None:
-        nonlocal filled
-        try:
-            with np.errstate(all="ignore"):
-                for i in range(n_blocks):
-                    with changed:
-                        changed.wait_for(lambda: stop or released > i - len(ring))
-                        if stop:
-                            return
-                    increments.fill(block(i), i * per_block)
-                    with changed:
-                        filled = i + 1
-                        changed.notify_all()
-        except BaseException as exc:
-            with changed:
-                failures.append(exc)
-                changed.notify_all()
-
-    producer = threading.Thread(target=produce, daemon=True)
-    try:
-        producer.start()
+    def fill(i: int) -> np.ndarray:
+        s0 = i * per_block
         with np.errstate(all="ignore"):
-            for i in range(n_blocks):
-                with changed:
-                    changed.wait_for(lambda: failures or filled > i)
-                    if failures:
-                        raise failures[0]
-                for j, dW in enumerate(block(i)):
-                    s = i * per_block + j
-                    t = t0 + s * dt
-                    for stepper in steppers:
-                        stepper.step(s, t, dW)
-                with changed:
-                    released = i + 1
-                    changed.notify_all()
-    finally:
-        with changed:
-            stop = True
-            changed.notify_all()
-        if producer.is_alive():
-            producer.join()
+            return increments.fill(buffers[i % len(buffers)][: min(per_block, steps - s0)], s0)
+
+    with ThreadPoolExecutor(max_workers=1) as worker, np.errstate(all="ignore"):
+        ahead = worker.submit(fill, 0)
+        for i in range(n_blocks):
+            block = ahead
+            if i + 1 < n_blocks:
+                ahead = worker.submit(fill, i + 1)
+            for j, dW in enumerate(block.result()):
+                s = i * per_block + j
+                t = t0 + s * dt
+                for stepper in steppers:
+                    stepper.step(s, t, dW)
 
 
 class Run(NamedTuple):
@@ -532,20 +499,7 @@ def apply_group_map(ens: Ensemble, X: VectorField, s: float) -> Ensemble:
     for snap in range(ens.states.shape[0]):
         states[snap], ws[snap] = mapping(ens.states[snap], ens.w[snap])
     excluded = ens.excluded | ~np.all(np.isfinite(states[-1]), axis=1)
-    return Ensemble(
-        ctx=ens.ctx,
-        scheme=ens.scheme + "+map",
-        t0=ens.t0,
-        T=ens.T,
-        dt=ens.dt,
-        steps=ens.steps,
-        n_paths=ens.n_paths,
-        seed=ens.seed,
-        snap_steps=ens.snap_steps,
-        states=states,
-        w=ws,
-        excluded=excluded,
-    )
+    return replace(ens, scheme=ens.scheme + "+map", states=states, w=ws, excluded=excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +790,10 @@ def pipeline_crosscheck(
     ctx = system.ctx
     start = dict.fromkeys(ctx.all_vars(), 0.0)
     start[state(1)] = x0
-    y0 = evaluate(cov.forward[0], start, ctx.params)
+    try:
+        y0 = evaluate(cov.forward[0], start, ctx.params)
+    except EvaluationError as err:
+        raise FlowError(f"the change of variables has no finite value at x0 = {x0:g}: {err}") from None
     if form.ctx.m != ctx.m:
         raise ValueError("the solution form and the system differ in the number of Wiener processes")
     quadrature = _Quadrature(form, 0.0, dt, n_paths, y0)

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -177,6 +178,18 @@ def test_integrate_refuses_a_form_that_holds_a_state_variable(monkeypatch, capsy
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("x0", ["nan", "inf", "800"])
+def test_integrate_refuses_a_start_the_map_sends_off_to_infinity(capsys, x0):
+    # exp(x1) at x0 is refused before any thread draws an increment
+    before = threading.active_count()
+    code, out, err = run(capsys, "integrate", "--model", "exp_decay_diffusion", "--field", "shift",
+                         "--cov", "rectify", "--paths", "100", "--x0", x0)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and f"x0 = {x0}" in err
+    assert "Traceback" not in err
+    assert threading.active_count() == before
+
+
 def test_reduce_single_step(capsys):
     code, out, _ = run(
         capsys, "reduce", "--model", "isotropic_nonlinear_oscillator",
@@ -266,6 +279,16 @@ def test_simulate_csv_output(tmp_path, capsys):
     assert payload["excluded_fraction"] == 0.0
     header = target.read_text().splitlines()[0]
     assert header == "t,mean_1,var_1,se_1"
+
+
+def test_simulate_csv_out_to_a_missing_directory_is_a_diagnostic(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "simulate", "--model", "linear_additive", "--paths", "10",
+                         "--dt", "0.1", "--csv-out", str(target))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and str(target) in err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_simulate_is_deterministic(capsys):

@@ -83,7 +83,7 @@ def test_brownian_grid_matches_ensemble_stream():
     b = bundle("linear_additive")
     ens = euler_maruyama(b.system, [1.0], T=0.05, dt=1e-3, n_paths=3, seed=21, snapshots=0)
     grid = BrownianGrid.generate(21, 1, 0.0, 0.05, 1e-3, 1)
-    assert np.allclose(grid.w[:, 0], ens.w[:, 1, 0])
+    assert np.array_equal(grid.w[:, 0], ens.w[:, 1, 0])
 
 
 _MASK = 2**64 - 1
@@ -169,7 +169,7 @@ def test_lockstep_runs_equal_separate_runs():
 
 
 # ---------------------------------------------------------------------------
-# the increment pipeline: a producer thread draws blocks ahead of the step loop
+# the increment pipeline: an executor worker draws blocks ahead of the step loop
 
 
 def _pipeline_sets():
@@ -192,7 +192,7 @@ def _pipeline_sets():
 
 def test_lockstep_ensembles_do_not_depend_on_the_block_size(monkeypatch):
     # with 250 values a block holds 1 or 2 steps, so every set steps through
-    # many blocks that the ring reuses, and one step per block is the other
+    # many blocks in the two reused buffers, and one step per block is the other
     # extreme; none of the step counts is a multiple of the default block
     excluded = 0
     for runs, paths, T, dt in _pipeline_sets():
@@ -219,7 +219,7 @@ class _Recorder:
 
     def step(self, s, t, dW):
         copy = dW.copy()
-        time.sleep(1e-4)  # leave the producer time to run ahead
+        time.sleep(1e-4)  # leave the worker time to run ahead
         assert np.array_equal(dW, copy), f"the increments of step {s} changed while being read"
         self.seen.append((s, copy))
 
