@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from importlib import resources
@@ -304,6 +305,18 @@ def cmd_simulate(args) -> int:
     if len(x0) != bundle.ctx.n:
         print(f"error: need {bundle.ctx.n} initial values", file=sys.stderr)
         return EXIT_USAGE
+    if not all(map(math.isfinite, x0)):
+        print(f"error: the start x0 = {', '.join(map(str, x0))} is not finite", file=sys.stderr)
+        return EXIT_USAGE
+    if args.csv_out:  # a path that cannot be written is refused before the run
+        existed = os.path.lexists(args.csv_out)
+        try:
+            open(args.csv_out, "a").close()  # appending changes no file
+        except OSError as err:
+            print(f"error: cannot write {args.csv_out}: {err.strerror}", file=sys.stderr)
+            return EXIT_USAGE
+        if not existed:
+            os.remove(args.csv_out)
     integrate = mc.euler_maruyama if bundle.system.calculus == "ito" else mc.heun_stratonovich
     # the report reads only x, so the Wiener history is not recorded
     ens = integrate(bundle.system, x0, T=args.horizon, dt=args.dt, n_paths=args.paths, seed=args.seed,

@@ -20,18 +20,21 @@ quadrature and grid draws from it.  Runs that share increments (the two
 ensembles of a symmetry validation, the two halves of a pipeline
 cross-check, a scheme comparison) are stepped in lockstep by one loop,
 `_lockstep`, on one draw per step, so each increment is generated once.
-That loop draws ahead: while the calling thread steps through one block
-of several steps, one executor worker fills the next into the other of
-two buffers.  Each fill is queued before the block ahead of it is
-awaited, so the worker never idles waiting to be handed work.  No setting
+That loop draws on both threads: each block of several steps is cut into
+chunks of whole steps, one executor worker claims the chunks of the next
+block from the front while the calling thread steps the current block, and
+the calling thread then claims what is left from the back before it waits
+for the worker.  Where stepping is slower than drawing, the worker has
+claimed every chunk by then and the calling thread only steps.  No setting
 changes this, and because each value depends only on (seed, path, step,
-component), no output depends on the number of CPUs or on how the steps
-are blocked.
+component), no output depends on the number of CPUs, on how the steps are
+blocked and chunked, or on which thread filled a chunk.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -63,11 +66,13 @@ GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _DIVERGENCE_BOUND = 1e10
-# `_lockstep` draws increments ahead in blocks of about this many values
-# (1 MiB of float64; a block holds at least one step), in two buffers: one
-# is stepped through while the worker fills the other.  With the worker's
-# scratch the loop holds about three blocks.
-_BLOCK_VALUES = 1 << 17
+# `_lockstep` draws increments in blocks of about _BLOCK_VALUES values (at
+# least one step) in two buffers, each block filled in chunks of about
+# _CHUNK_VALUES values (whole steps, at least one) by two threads.  Smaller
+# chunks hand the interpreter lock between the threads more often: one-step
+# chunks of 20 000 values made a Heun run slower than one drawing thread.
+_CHUNK_VALUES = 1 << 16
+_BLOCK_VALUES = 3 * _CHUNK_VALUES
 
 
 class FlowError(ValueError):
@@ -218,31 +223,49 @@ def _lockstep(steppers: Sequence, seed: int, n_paths: int, m: int, t0: float, dt
     increments, in order.  A stepper reads the shared block and never writes
     into it.
 
-    The increments are drawn ahead by one executor worker, in blocks of
-    about ``_BLOCK_VALUES`` values (at least one step) held in two reused
-    buffers.  Before this thread waits for block i it queues the fill of
-    block i + 1 into the buffer that block i - 1 has left, so the worker,
-    whose draws are most of a step's time, never waits for this thread to
-    hand it work.  An error in either thread is raised here, and the worker
-    has ended when the call returns."""
+    Each block of increments is filled in chunks, popped by the executor's
+    one worker from the front of a deque and by this thread from the back.
+    The worker is queued on block i + 1, into the buffer block i - 1 has
+    left, before this thread fills what is left of block i and waits for
+    the worker's share; while this thread steps block i, the worker draws
+    ahead.  Where stepping is slow the worker has popped every chunk first,
+    and this thread only steps.  An error in either thread is raised here,
+    and the worker has ended when the call returns."""
     increments = Increments(seed, n_paths, m, dt)
-    per_block = min(steps, max(1, _BLOCK_VALUES // max(n_paths * m, 1)))
+    width = max(n_paths * m, 1)
+    per_block = min(steps, max(1, _BLOCK_VALUES // width))
+    per_chunk = max(1, _CHUNK_VALUES // width)
     n_blocks = -(-steps // per_block)
     buffers = [np.empty((per_block, n_paths, m)) for _ in range(min(2, n_blocks))]
 
-    def fill(i: int) -> np.ndarray:
-        s0 = i * per_block
+    def fill(block: np.ndarray, s0: int, claim: Callable[[], int]) -> None:
+        """Fill the chunks of ``block`` (steps s0, s0 + 1, ...) that
+        ``claim`` hands out, until it has none left."""
         with np.errstate(all="ignore"):
-            return increments.fill(buffers[i % len(buffers)][: min(per_block, steps - s0)], s0)
+            while True:
+                try:
+                    j = claim()
+                except IndexError:
+                    return
+                increments.fill(block[j : j + per_chunk], s0 + j)
 
     with ThreadPoolExecutor(max_workers=1) as worker, np.errstate(all="ignore"):
-        ahead = worker.submit(fill, 0)
+
+        def queue(i: int):
+            s0 = i * per_block
+            block = buffers[i % len(buffers)][: min(per_block, steps - s0)]
+            chunks = deque(range(0, len(block), per_chunk))
+            return block, s0, chunks, worker.submit(fill, block, s0, chunks.popleft)
+
+        ahead = queue(0)
         for i in range(n_blocks):
-            block = ahead
+            block, s0, chunks, front = ahead
             if i + 1 < n_blocks:
-                ahead = worker.submit(fill, i + 1)
-            for j, dW in enumerate(block.result()):
-                s = i * per_block + j
+                ahead = queue(i + 1)
+            fill(block, s0, chunks.pop)
+            front.result()
+            for j, dW in enumerate(block):
+                s = s0 + j
                 t = t0 + s * dt
                 for stepper in steppers:
                     stepper.step(s, t, dW)

@@ -291,6 +291,53 @@ def test_simulate_csv_out_to_a_missing_directory_is_a_diagnostic(tmp_path, capsy
     assert "Traceback" not in err
 
 
+def _no_simulation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr(cli.mc, "euler_maruyama", refuse)
+    monkeypatch.setattr(cli.mc, "heun_stratonovich", refuse)
+
+
+def test_simulate_csv_out_to_a_missing_directory_fails_before_any_step(tmp_path, capsys, monkeypatch):
+    _no_simulation(monkeypatch)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "simulate", "--model", "linear_additive", "--paths", "100000",
+                         "--csv-out", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_simulate_csv_out_probe_leaves_no_file_when_the_run_fails(tmp_path, capsys):
+    target = tmp_path / "x.csv"
+    code, _, err = run(capsys, "simulate", "--model", "linear_additive", "--paths", "10",
+                       "--dt", "0.3", "--csv-out", str(target))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: dt = 0.3")
+    assert not target.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old table\n")
+    run(capsys, "simulate", "--model", "linear_additive", "--paths", "10",
+        "--dt", "0.3", "--csv-out", str(kept))
+    assert kept.read_text() == "old table\n"
+
+
+@pytest.mark.parametrize("model, flag, value, shown", [
+    ("linear_additive", "--x0", "nan", "x0 = nan"),
+    ("linear_additive", "--x0", "-inf", "x0 = -inf"),
+    ("isotropic_nonlinear_oscillator", "--x0", "inf", "x0 = inf, inf"),
+    ("isotropic_nonlinear_oscillator", "--x0-list", "0.5,nan", "x0 = 0.5, nan"),
+])
+def test_simulate_refuses_a_start_that_is_not_finite(capsys, monkeypatch, model, flag, value, shown):
+    _no_simulation(monkeypatch)
+    code, out, err = run(capsys, "simulate", "--model", model, "--paths", "100", f"{flag}={value}")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and shown in err and "not finite" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_simulate_is_deterministic(capsys):
     _, out1, _ = run(
         capsys, "simulate", "--model", "linear_additive", "--paths", "200",

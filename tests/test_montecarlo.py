@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -191,15 +192,19 @@ def _pipeline_sets():
 
 
 def test_lockstep_ensembles_do_not_depend_on_the_block_size(monkeypatch):
-    # with 250 values a block holds 1 or 2 steps, so every set steps through
-    # many blocks in the two reused buffers, and one step per block is the other
-    # extreme; none of the step counts is a multiple of the default block
+    # (block, chunk) in values: the defaults; a chunk boundary inside a block
+    # with a shorter last chunk; one-step chunks in a many-step block; one
+    # chunk larger than its block; one step per block.  With 250 or fewer
+    # values a block holds 1 or 2 steps, so every set steps through many
+    # blocks in the two reused buffers; none of the step counts is a multiple
+    # of the default block
     excluded = 0
     for runs, paths, T, dt in _pipeline_sets():
         results = []
-        for block in (None, 250, 1):
+        for block, chunk in ((None, None), (2000, 800), (5000, 1), (250, 10**6), (1, 1)):
             if block is not None:
                 monkeypatch.setattr(mc, "_BLOCK_VALUES", block, raising=False)
+                monkeypatch.setattr(mc, "_CHUNK_VALUES", chunk, raising=False)
             results.append(_simulate(runs, 0.0, T, dt, paths, 23, snapshots=7))
         for ensembles in results[1:]:
             for ens, first in zip(ensembles, results[0]):
@@ -268,6 +273,89 @@ def test_a_producer_error_reaches_the_caller_and_no_thread_remains(monkeypatch):
         _lockstep([recorder], 1, 20, 1, 0.0, 1e-2, 50)
     assert threading.active_count() == before
     assert len(recorder.seen) < 50
+
+
+def _thread_ndtri(on_stepping_thread, on_worker):
+    """An ndtri that calls ``on_stepping_thread(u)`` or ``on_worker(u)``
+    first, by the thread it runs on, and records every call's thread and
+    size."""
+    stepping = threading.get_ident()
+    calls = []
+    lock = threading.Lock()
+
+    def traced(u, out=None):
+        here = threading.get_ident() == stepping
+        with lock:
+            calls.append((here, u.size))
+        (on_stepping_thread if here else on_worker)(u)
+        return ndtri(u, out=out)
+
+    return traced, calls
+
+
+def test_an_error_in_the_stepping_threads_draw_reaches_the_caller_and_no_thread_remains(monkeypatch):
+    # 10-step blocks in 2-step chunks; the worker is slowed so that the
+    # stepping thread claims chunks, and its second draw fails
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 200, raising=False)
+    monkeypatch.setattr(mc, "_CHUNK_VALUES", 40, raising=False)
+    drawn = []
+
+    def fail_second(u):
+        drawn.append(u.size)
+        if len(drawn) == 2:
+            raise FloatingPointError("draw failed on the stepping thread")
+
+    failing, calls = _thread_ndtri(fail_second, lambda u: time.sleep(5e-3))
+    monkeypatch.setattr(mc, "ndtri", failing)
+    recorder = _Recorder()
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="stepping thread"):
+        _lockstep([recorder], 1, 20, 1, 0.0, 1e-2, 50)
+    assert threading.active_count() == before
+    assert len(drawn) == 2
+    assert len(recorder.seen) < 50
+
+
+def test_the_stepping_thread_fills_the_back_of_a_block_when_the_worker_is_slow(monkeypatch):
+    # 12-step blocks in 3-step chunks; every draw on the worker sleeps
+    paths, m, steps = 20, 2, 60
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 12 * paths * m, raising=False)
+    monkeypatch.setattr(mc, "_CHUNK_VALUES", 3 * paths * m, raising=False)
+    slowed, calls = _thread_ndtri(lambda u: None, lambda u: time.sleep(5e-3))
+    monkeypatch.setattr(mc, "ndtri", slowed)
+    recorder = _Recorder()
+    _lockstep([recorder], 9, paths, m, 0.0, 1e-2, steps)
+    assert any(here for here, _ in calls) and not all(here for here, _ in calls)
+    # every chunk is drawn once, by one thread
+    assert sum(size for _, size in calls) == steps * paths * m
+    assert all(size == 3 * paths * m for _, size in calls)
+    increments = Increments(9, paths, m, 1e-2)
+    assert [s for s, _ in recorder.seen] == list(range(steps))
+    for s, dW in recorder.seen:
+        assert np.array_equal(dW, increments.step(s))
+
+
+def test_chunk_claims_under_frequent_thread_switches_fill_each_chunk_once(monkeypatch):
+    # one-step chunks with the interpreter switching threads every
+    # microsecond: a chunk claimed twice or by no thread changes the count of
+    # values drawn or a step's increments
+    paths, m, steps = 30, 1, 400
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 8 * paths * m, raising=False)
+    monkeypatch.setattr(mc, "_CHUNK_VALUES", 1, raising=False)
+    counting, calls = _thread_ndtri(lambda u: None, lambda u: None)
+    monkeypatch.setattr(mc, "ndtri", counting)
+    recorder = _Recorder()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _lockstep([recorder], 4, paths, m, 0.0, 1e-3, steps)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(size for _, size in calls) == steps * paths * m
+    increments = Increments(4, paths, m, 1e-3)
+    assert [s for s, _ in recorder.seen] == list(range(steps))
+    for s, dW in recorder.seen:
+        assert np.array_equal(dW, increments.step(s))
 
 
 # ---------------------------------------------------------------------------
