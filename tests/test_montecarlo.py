@@ -194,14 +194,13 @@ def _pipeline_sets():
 def test_lockstep_ensembles_do_not_depend_on_the_block_size(monkeypatch):
     # (block, chunk) in values: the defaults; a chunk boundary inside a block
     # with a shorter last chunk; one-step chunks in a many-step block; one
-    # chunk larger than its block; one step per block.  With 250 or fewer
-    # values a block holds 1 or 2 steps, so every set steps through many
-    # blocks in the two reused buffers; none of the step counts is a multiple
-    # of the default block
+    # chunk larger than its 3- to 5-step block; one step per block, so every
+    # set steps through many blocks in the two reused buffers.  None of the
+    # step counts is a multiple of the default block
     excluded = 0
     for runs, paths, T, dt in _pipeline_sets():
         results = []
-        for block, chunk in ((None, None), (2000, 800), (5000, 1), (250, 10**6), (1, 1)):
+        for block, chunk in ((None, None), (2000, 800), (5000, 1), (1000, 10**6), (1, 1)):
             if block is not None:
                 monkeypatch.setattr(mc, "_BLOCK_VALUES", block, raising=False)
                 monkeypatch.setattr(mc, "_CHUNK_VALUES", chunk, raising=False)
@@ -305,7 +304,7 @@ def test_an_error_in_the_stepping_threads_draw_reaches_the_caller_and_no_thread_
         if len(drawn) == 2:
             raise FloatingPointError("draw failed on the stepping thread")
 
-    failing, calls = _thread_ndtri(fail_second, lambda u: time.sleep(5e-3))
+    failing, _ = _thread_ndtri(fail_second, lambda u: time.sleep(5e-3))
     monkeypatch.setattr(mc, "ndtri", failing)
     recorder = _Recorder()
     before = threading.active_count()
