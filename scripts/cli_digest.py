@@ -25,7 +25,10 @@ and ``integrate --horizon 0.25 --dt 0.1``, whose dt does not divide the
 horizon into whole steps; ``integrate`` with two ``--field`` and two
 ``--cov`` flags; ``reduce`` with more ``--cov`` than ``--field``
 flags; ``simulate --csv-out`` into a directory that does not exist; and
-``integrate`` from ``--x0 nan`` and ``--x0 inf``.
+``integrate`` from ``--x0 nan`` and ``--x0 inf``.  The last command,
+``integrate --json`` on ``exponential_drift`` to ``--horizon 1.0``, is a
+cross-check that fails (too many paths excluded) and maps its terminals
+back through the numeric inverse; its stderr must stay empty.
 """
 
 import hashlib
@@ -74,6 +77,8 @@ def commands():
     for x0 in ("nan", "inf"):
         yield ["integrate", "--model", "exp_decay_diffusion", "--field", "shift",
                "--cov", "rectify", "--paths", "100", "--x0", x0]
+    yield ["integrate", "--json", "--model", "exponential_drift", "--field", "random",
+           "--x0", "0.0", "--paths", "1500", "--horizon", "1.0"]
 
 
 def digest(data: bytes) -> str:

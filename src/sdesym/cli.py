@@ -87,7 +87,8 @@ def _emit(payload: dict, args) -> None:
 
 def _finite(value):
     """``value`` with NaN and infinities as None: they are not JSON (a mean
-    difference over fewer than two kept paths has no standard error)."""
+    difference has no SE over fewer than two kept paths, and is infinitely
+    many SE when the SE is zero)."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
@@ -240,9 +241,7 @@ def cmd_integrate(args) -> int:
             "dt": args.dt,
             "horizon": args.horizon,
             **asdict(check),
-            "pass": bool(
-                check.excluded_fraction <= 0.05 and check.difference_se_units < 4.0
-            ),
+            "pass": check.verdict == "pass",
         }
     _emit(report, args)
     return EXIT_OK

@@ -57,7 +57,7 @@ from .expr import (
 from .expr.calculus import differentiate
 from .reduction import ChangeOfVariables, ReductionError, SolutionForm, numeric_inverse
 from .sde import ItoSystem, StratSystem, System
-from .symmetry import LinearW, VectorField
+from .symmetry import GeneralH, LinearW, VectorField
 
 # the integrator of each calculus, by the name ``Ensemble.scheme`` records
 SCHEMES = {"ito": "euler_maruyama", "stratonovich": "heun"}
@@ -73,6 +73,12 @@ _DIVERGENCE_BOUND = 1e10
 # chunks of 20 000 values made a Heun run slower than one drawing thread.
 _CHUNK_VALUES = 1 << 16
 _BLOCK_VALUES = 3 * _CHUNK_VALUES
+# the paired rule (`_verdict`): more than MAX_EXCLUDED of the paths excluded
+# is inconclusive, a gap of MEAN_SIGMA_LIMIT SE or more fails; a symmetry
+# validation also fails on a KS statistic over its level-KS_ALPHA threshold
+MEAN_SIGMA_LIMIT = 4.0
+MAX_EXCLUDED = 0.05
+KS_ALPHA = 1e-3
 
 
 class FlowError(ValueError):
@@ -611,6 +617,30 @@ def ks_threshold(n1: int, n2: int, alpha: float = 1e-3) -> float:
     return c * math.sqrt((n1 + n2) / (n1 * n2))
 
 
+def _verdict(excluded_fraction: float, gaps) -> str:
+    """The paired rule; a NaN gap means fewer than two paths were kept."""
+    if excluded_fraction > MAX_EXCLUDED or np.any(np.isnan(gaps)):
+        return "inconclusive"
+    return "pass" if np.all(gaps < MEAN_SIGMA_LIMIT) else "fail"
+
+
+def _paired(a: np.ndarray, b: np.ndarray, kept: np.ndarray) -> Tuple[float, np.ndarray, str]:
+    """The excluded fraction, the gaps |mean a - mean b| / sqrt(var a / N +
+    var b / N) over the N paths ``kept`` (along axis 0, ddof 1; NaN when
+    N < 2) and the verdict of two sides' terminal values, (N,) or (N, n).
+    A zero SE gives a gap of 0 when the means are equal, else inf."""
+    excluded_fraction = 1.0 - float(np.mean(kept))
+    n = int(np.sum(kept))
+    gaps = np.full(a.shape[1:], np.nan)
+    if n >= 2:
+        a, b = a[kept], b[kept]
+        se = np.sqrt(a.var(axis=0, ddof=1) / n + b.var(axis=0, ddof=1) / n)
+        diff = np.abs(a.mean(axis=0) - b.mean(axis=0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gaps = np.where(diff == 0, 0.0, diff / se)
+    return excluded_fraction, gaps, _verdict(excluded_fraction, gaps)
+
+
 @dataclass
 class ValidationReport:
     verdict: str  # 'pass' | 'fail' | 'inconclusive'
@@ -632,9 +662,6 @@ def symmetry_validation(
     n_paths: int = 10000,
     seed: int = 0,
     scheme: Optional[str] = None,
-    mean_sigma_limit: float = 4.0,
-    ks_alpha: float = 1e-3,
-    max_excluded: float = 0.05,
 ) -> ValidationReport:
     """Distributional check that exp(s X) maps solutions to solutions.
 
@@ -642,17 +669,23 @@ def symmetry_validation(
     Ensemble (b): solve from the mapped initial point, driving the same
     Brownian increments through the map's Wiener-sector action.  Both are
     stepped in lockstep on one draw of the increments.  For exact
-    linear flows the two are nearly pathwise equal; the verdict compares
-    terminal means (in units of the standard error of the difference) and
-    the per-component Kolmogorov-Smirnov statistic.  The scheme follows the
-    calculus of ``sys`` (see `SCHEMES`); a ``scheme`` given must name it,
-    and any other name raises ValueError.
+    linear flows the two are nearly pathwise equal; the verdict is
+    `_paired`'s on the terminal states, and a pass also needs every
+    per-component Kolmogorov-Smirnov statistic below its threshold.  A
+    `GeneralH` field is inconclusive without a run: its Wiener action is not
+    a map of the increments, so (b) would have no driver.  The scheme
+    follows the calculus of ``sys`` (see `SCHEMES`); a ``scheme`` given must
+    name it, and any other name raises ValueError.
     """
     if scheme is not None:
         calculus = {name: calc for calc, name in SCHEMES.items()}.get(scheme)
         if calculus is None:
             raise ValueError(f"unknown scheme {scheme!r}")
         sys.require(calculus, f"scheme {scheme!r}")
+    nan = np.full(sys.ctx.n, np.nan)
+    if isinstance(X.noise, GeneralH):
+        detail = "a GeneralH field gives the mapped run no driver: its w action maps no increments"
+        return ValidationReport("inconclusive", nan, nan.copy(), math.nan, math.nan, detail)
     mapping = flow_map(X, s)
     x0_arr = np.asarray(x0, dtype=float)[None, :]
     x0_mapped, _ = mapping(x0_arr, np.zeros((1, sys.ctx.m)))
@@ -667,25 +700,19 @@ def symmetry_validation(
     mapped = apply_group_map(base, X, s)
 
     include = ~(mapped.excluded | direct.excluded)
-    frac_excluded = 1.0 - float(np.mean(include))
+    a, b = mapped.terminal_states(), direct.terminal_states()
+    frac_excluded, mean_sigmas, verdict = _paired(a, b, include)
     n_eff = int(np.sum(include))
     if n_eff < 2:
-        nan = np.full(sys.ctx.n, np.nan)
         detail = f"{frac_excluded:.1%} of paths excluded, {n_eff} kept (< 2)"
-        return ValidationReport("inconclusive", nan, nan.copy(), math.nan, frac_excluded, detail)
-    a = mapped.terminal_states()[include]
-    b = direct.terminal_states()[include]
-    se = np.sqrt(a.var(axis=0, ddof=1) / n_eff + b.var(axis=0, ddof=1) / n_eff)
-    se = np.where(se == 0, 1e-300, se)
-    mean_sigmas = np.abs(a.mean(axis=0) - b.mean(axis=0)) / se
+        return ValidationReport(verdict, mean_sigmas, nan, math.nan, frac_excluded, detail)
+    a, b = a[include], b[include]
     ks = np.array([ks_statistic(a[:, i], b[:, i]) for i in range(a.shape[1])])
-    limit = ks_threshold(n_eff, n_eff, ks_alpha)
+    limit = ks_threshold(n_eff, n_eff, KS_ALPHA)
 
-    if frac_excluded > max_excluded:
-        verdict = "inconclusive"
-        detail = f"{frac_excluded:.1%} of paths excluded (> {max_excluded:.0%})"
-    elif np.all(mean_sigmas < mean_sigma_limit) and np.all(ks < limit):
-        verdict = "pass"
+    if verdict == "inconclusive":
+        detail = f"{frac_excluded:.1%} of paths excluded (> {MAX_EXCLUDED:.0%})"
+    elif verdict == "pass" and np.all(ks < limit):
         detail = ""
     else:
         verdict = "fail"
@@ -786,6 +813,10 @@ class PipelineReport:
     terminal_mean_direct: float
     difference_se_units: float  # |mean difference| / SE of the difference
 
+    @property
+    def verdict(self) -> str:
+        return _verdict(self.excluded_fraction, self.difference_se_units)
+
 
 def pipeline_crosscheck(
     system: ItoSystem,
@@ -838,14 +869,5 @@ def pipeline_crosscheck(
             except ReductionError:
                 pass
     ok = np.isfinite(mapped_back) & ~direct.excluded
-    a = mapped_back[ok]
-    b = x_T[ok]
-    se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
-    diff = abs(float(a.mean() - b.mean()))
-    return PipelineReport(
-        excluded_fraction=1.0 - float(np.mean(ok)),
-        terminal_mean_pipeline=float(a.mean()),
-        terminal_mean_direct=float(b.mean()),
-        # a NaN SE (fewer than two kept paths) stays NaN and fails any bound
-        difference_se_units=diff / se if se != 0 else 0.0,
-    )
+    excluded_fraction, gap, _ = _paired(mapped_back, x_T, ok)
+    return PipelineReport(excluded_fraction, float(mapped_back[ok].mean()), float(x_T[ok].mean()), float(gap))

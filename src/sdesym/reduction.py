@@ -458,8 +458,9 @@ def transform_W(
     with Delta the Ito Laplacian in the new variables under the solved S.
     The new drivers are taken with unit covariance, dz^m dz^p = delta dt,
     which is exact only for an orthogonal R or a linear Phi: the covariance
-    of z = R^-1 w is R^-1 R^-T (ROADMAP, "A pathwise judge for
-    transform_W").  They count as Wiener only under a linear map w = R z.
+    of z = R^-1 w is R^-1 R^-T (ROADMAP item 3, "Carry the driver
+    covariance in transform_W").  They count as Wiener only under a linear
+    map w = R z.
     """
     config = config or ZeroTestConfig()
     if cov.wiener is None:
@@ -546,10 +547,14 @@ def numeric_inverse(cov: ChangeOfVariables, config: Optional[ZeroTestConfig] = N
             (residual, slope), failed = value_and_slope.strict([x, t, *w_values])
             if failed[0]:
                 raise ReductionError(f"inversion left the domain at x = {x!r}")
-            residual, slope = float(residual[0]) - y, float(slope[0])
+            residual, slope = float(residual[0]) - float(y), float(slope[0])
             if slope == 0.0:
                 raise ReductionError("inversion hit a critical point")
             step = residual / slope
+            # in Python floats an overflow reads inf without a numpy warning;
+            # a step that is not finite leaves the domain
+            if not np.isfinite(step):
+                raise ReductionError(f"inversion left the domain at x = {x!r}")
             # damping: halve until the residual decreases
             for _ in range(30):
                 candidate = x - step

@@ -5,6 +5,7 @@ import json
 import tempfile
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,36 @@ def test_integrate_pipeline(capsys):
     payload = json.loads(out)
     assert payload["solution_form"]["drift"] == "1"
     assert payload["monte_carlo"]["pass"] is True
+
+
+def test_integrate_fails_a_noiseless_pipeline_whose_means_differ(tmp_path, capsys):
+    # both sides have zero variance: means that differ are an infinite gap
+    # (null in JSON), not 0 SE
+    model = tmp_path / "decay.model"
+    model.write_text(
+        "[system]\nn = 1\nm = 1\ntype = ito\nf1 = -x\nsigma_1_1 = 0\n\n"
+        "[vectorfield.scaling]\nphi1 = x\n"
+    )
+    code, out, _ = run(capsys, "integrate", "--model", str(model), "--field", "scaling",
+                       "--paths", "50", "--json")
+    assert code == EXIT_OK
+    check = json.loads(out)["monte_carlo"]
+    assert check["terminal_mean_pipeline"] != check["terminal_mean_direct"]
+    assert check["difference_se_units"] is None
+    assert check["pass"] is False
+
+
+def test_integrate_numeric_inverse_warns_nothing(capsys):
+    # Newton steps that overflow leave the domain: the path is dropped, and
+    # no numpy warning reaches stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "integrate", "--json", "--model", "exponential_drift",
+                             "--field", "random", "--x0", "0.0", "--paths", "1500",
+                             "--horizon", "1.0")
+    assert code == EXIT_OK
+    assert [str(w.message) for w in caught] == [] and err == ""
+    assert json.loads(out)["monte_carlo"]["pass"] is False
 
 
 def test_integrate_requires_field(capsys):

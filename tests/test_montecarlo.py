@@ -37,7 +37,7 @@ from sdesym.montecarlo import (
 )
 from sdesym.reduction import ChangeOfVariables, ReductionError, SolutionForm, integrate_scalar, reduce_step
 from sdesym.sde import ItoSystem, ito_to_strat
-from sdesym.symmetry import LinearW, SymmetryError, VectorField
+from sdesym.symmetry import GeneralH, LinearW, SymmetryError, VectorField
 
 
 def bundle(name):
@@ -677,6 +677,44 @@ def test_validation_inconclusive_with_fewer_than_two_kept_paths():
     b = bundle("linear_additive")
     one_path = symmetry_validation(b.system, b.vectorfields["scaling"], 0.1, [1.0], T=0.5, dt=1e-2, n_paths=1)
     assert (one_path.verdict, one_path.excluded_fraction) == ("inconclusive", 0.0)
+
+
+def test_validation_of_a_general_h_field_is_inconclusive():
+    # phi = x with h = w1 is the LinearW [[1]] field, which passes; written as
+    # a GeneralH it has no map of the increments to drive the mapped run, so
+    # a run would compare paths that are not paired
+    b = bundle("linear_additive")
+    ctx = b.ctx
+    X = VectorField(ctx, (parse("x", ctx),), noise=GeneralH((parse("w1", ctx),)))
+    rep = symmetry_validation(b.system, X, 0.3, [1.0], T=0.5, dt=1e-2, n_paths=400, seed=3)
+    assert rep.verdict == "inconclusive"
+    assert "driver" in rep.detail
+    linear = VectorField(ctx, (parse("x", ctx),), noise=LinearW.from_matrix([[1]]))
+    assert symmetry_validation(b.system, linear, 0.3, [1.0], T=0.5, dt=1e-2, n_paths=400, seed=3).verdict == "pass"
+
+
+# drift, sigma, the identity map's solution form (F, S), dt, paths, verdict;
+# dt = 1/4 keeps the noiseless paths dyadic, so their variances are exactly 0
+PAIRED_RULE_CASES = {
+    "one path kept": ("0", "0", "0", "0", 0.25, 1, "inconclusive"),
+    "over 5% excluded": ("(x-1)^3", "1", "0", "1", 0.01, 200, "inconclusive"),
+    "zero SE, equal means": ("0", "0", "0", "0", 0.25, 16, "pass"),
+    "zero SE, unequal means": ("x", "0", "2", "0", 0.25, 16, "fail"),
+}
+
+
+@pytest.mark.parametrize("case", PAIRED_RULE_CASES)
+def test_validation_and_pipeline_share_the_paired_rule(case):
+    f, sigma, F, S, dt, n_paths, want = PAIRED_RULE_CASES[case]
+    ctx = Context(1, 1)
+    x = parse("x", ctx)
+    sys_ = ItoSystem(ctx, (parse(f, ctx),), ((parse(sigma, ctx),),))
+    shift = VectorField(ctx, (ONE,))
+    validation = symmetry_validation(sys_, shift, 0.5, [1.0], T=1.0, dt=dt, n_paths=n_paths, seed=5)
+    form = SolutionForm(ctx, parse(F, ctx), (parse(S, ctx),))
+    identity = ChangeOfVariables(ctx, (x,), inverse=(x,))
+    pipeline = pipeline_crosscheck(sys_, identity, form, 1.0, 1.0, dt, n_paths, seed=5)
+    assert (validation.verdict, pipeline.verdict) == (want, want)
 
 
 # ---------------------------------------------------------------------------
