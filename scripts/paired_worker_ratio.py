@@ -1,18 +1,35 @@
 #!/usr/bin/env python3
-"""Paired end-to-end timing of this checkout against a parent checkout.
+"""Paired end-to-end measurement of this checkout against a parent checkout.
 
     python scripts/paired_worker_ratio.py --parent DIR --workload W --seed N \
-        --pairs K [--record BENCH_n.json]
+        --pairs K [--seconds S] [--record BENCH_n.json]
 
-Runs ``bench/worker.py --workload W --seed N`` K times in a fresh
-interpreter in each checkout, one parent run and one change run per pair,
-alternating which of the two goes first.  For each pair it prints the
-change/parent ratio of ``wall_s`` and of ``peak_rss_mb``; then the pairs the
-change won on ``wall_s`` (ties count for neither side), each side's median
-and quartiles, the median ratios, and whether every run gave the same output
-digest.  The last line of standard output is the result as JSON; with
---record it is also stored in that file under the key ``W@N``, beside the
-machine, the versions and both commits.  Nothing under ``bench/`` is edited.
+Runs K pairs, one parent run and one change run per pair, alternating which
+of the two goes first.  A run is one ``bench/worker.py --workload W --seed
+N`` repetition in a fresh interpreter, or with --seconds one ``bench/run.py
+--workload W --seed N --seconds S --trace 0`` run, whose metrics are its
+medians over repetitions.
+
+Every end-to-end metric of the change's BENCHMARK.json is reported for each
+pair.  From one repetition they are computed as ``bench/run.py`` computes
+them: ``verdict_p90_ms`` is the inclusive 90th percentile of the item
+times, and ``correct_frac`` the share of items whose check held.  For each
+metric it then prints each side's median and quartiles, the median
+change/parent ratio, and two verdicts:
+
+* gain: the change won at least nine tenths of the pairs (ties count for
+  neither side) and its median is better than the parent's by more than
+  the distance between the parent's quartiles;
+* bound: the change's median is no worse than the parent's by more than the
+  metric's bound (relative to the parent's median), or "unresolved" when
+  the parent's quartile distance exceeds the bound and not every change run
+  beats every parent run.
+
+Worker runs also compare the output digest, the item verdicts and
+``path_steps`` of every run.  The last line of standard output is the
+result as JSON; with --record it is also stored in that file under the key
+``W@N`` (``W@N/Ss`` for --seconds runs), beside the machine, the versions
+and both commits.  Nothing under ``bench/`` is edited.
 """
 
 import argparse
@@ -26,10 +43,38 @@ from pathlib import Path
 CHANGE = Path(__file__).resolve().parents[1]
 
 
-def worker(checkout: Path, workload: str, seed: int) -> dict:
-    cmd = [sys.executable, "bench/worker.py", "--workload", workload, "--seed", str(seed)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+def p90(values: list) -> float:
+    return statistics.quantiles(values, n=10, method="inclusive")[8]
+
+
+# each metric of one worker repetition, as bench/run.py computes it
+FROM_WORKER = {
+    "setup_s": lambda r: r["setup_s"],
+    "wall_s": lambda r: r["wall_s"],
+    "verdict_p50_ms": lambda r: statistics.median(i["ms"] for i in r["items"]),
+    "verdict_p90_ms": lambda r: p90([i["ms"] for i in r["items"]]),
+    "peak_rss_mb": lambda r: r["peak_rss_mb"],
+    "correct_frac": lambda r: sum(i["ok"] for i in r["items"]) / len(r["items"]),
+}
+
+
+def last_json(checkout: Path, cmd: list) -> dict:
+    proc = subprocess.run([sys.executable, *cmd], cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def measure(checkout: Path, args, metrics: list) -> dict:
+    """One run: its metrics, and for a worker run what must match across runs."""
+    if args.seconds:
+        out = last_json(checkout, ["bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
+                                   "--seconds", str(args.seconds), "--trace", "0"])
+        return {"metrics": {m["name"]: out["metrics"][m["name"]]["value"] for m in metrics},
+                "same": {"correct": out["correct"]}}
+    rep = last_json(checkout, ["bench/worker.py", "--workload", args.workload, "--seed", str(args.seed)])
+    return {"metrics": {m["name"]: FROM_WORKER[m["name"]](rep) for m in metrics},
+            "same": {"digest": rep["digest"], "verdicts": [i["verdict"] for i in rep["items"]],
+                     "path_steps": rep["path_steps"]},
+            "versions": rep["versions"]}
 
 
 def commit(checkout: Path) -> str:
@@ -43,63 +88,94 @@ def spread(values: list) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
+def compare(parent: list, change: list, better: str, bound: float) -> dict:
+    """The paired comparison of one metric; ``sign`` turns "better" into "lower"."""
+    sign = 1.0 if better == "lower" else -1.0
+    pairs = len(parent)
+    p, c = spread(parent), spread(change)
+    wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
+    losses = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    gap = sign * (p["median"] - c["median"])  # > 0: the change is better
+    iqr = p["q3"] - p["q1"]
+    scale = abs(p["median"]) or 1.0
+    worse = -gap / scale
+    if iqr / scale > bound and not all(sign * (b - a) < 0 for a in parent for b in change):
+        within = "unresolved"
+    else:
+        within = "within bound" if worse <= bound else "worse than bound"
+    return {
+        "parent": p,
+        "change": c,
+        "values": {"parent": parent, "change": change},
+        "ratios": [b / a if a else None for a, b in zip(parent, change)],
+        "ratio_median": c["median"] / p["median"] if p["median"] else None,
+        "change_wins": wins,
+        "parent_wins": losses,
+        "median_gap": gap,
+        "parent_iqr": iqr,
+        "gain": wins >= 0.9 * pairs and gap > iqr,
+        "bound": bound,
+        "worse_by": worse,
+        "bound_verdict": within,
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, help="time each side by one bench/run.py run of this length")
     ap.add_argument("--record", type=Path, help="JSON file to store the result in")
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
     parent = args.parent.resolve()
+    metrics = json.loads((CHANGE / "BENCHMARK.json").read_text())["end_to_end"]
 
     runs = {"parent": [], "change": []}
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(worker(parent if side == "parent" else CHANGE, args.workload, args.seed))
-        p, c = runs["parent"][-1], runs["change"][-1]
-        print(f"pair {k + 1:2d} ({order[0]} first): wall_s {c['wall_s']:.3f} / {p['wall_s']:.3f}"
-              f" = {c['wall_s'] / p['wall_s']:.3f}   peak_rss_mb {c['peak_rss_mb']:.1f}"
-              f" / {p['peak_rss_mb']:.1f} = {c['peak_rss_mb'] / p['peak_rss_mb']:.4f}")
+            runs[side].append(measure(parent if side == "parent" else CHANGE, args, metrics))
+        p, c = runs["parent"][-1]["metrics"], runs["change"][-1]["metrics"]
+        cells = [f"{name} {c[name]:.4g}/{p[name]:.4g}" for name in p]
+        print(f"pair {k + 1:2d} ({order[0]} first): " + "  ".join(cells))
 
-    result = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs}
-    for metric in ("wall_s", "peak_rss_mb"):
-        ratios = [c[metric] / p[metric] for p, c in zip(runs["parent"], runs["change"])]
-        result[metric] = {
-            "parent": spread([r[metric] for r in runs["parent"]]),
-            "change": spread([r[metric] for r in runs["change"]]),
-            "ratios": ratios,
-            "ratio_median": statistics.median(ratios),
-            "change_wins": sum(r < 1.0 for r in ratios),
-            "parent_wins": sum(r > 1.0 for r in ratios),
-        }
-    digests = {r["digest"] for side in runs.values() for r in side}
-    result["digest"] = digests.pop() if len(digests) == 1 else None
-    result["digests_match"] = result["digest"] is not None
+    result = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs, "seconds": args.seconds}
+    for m in metrics:
+        name = m["name"]
+        result[name] = compare([r["metrics"][name] for r in runs["parent"]],
+                               [r["metrics"][name] for r in runs["change"]], m["better"], m["bound"])
+    same = [r["same"] for side in runs.values() for r in side]
+    result["outputs_match"] = all(s == same[0] for s in same)
+    result["outputs"] = same[0]
 
-    wall = result["wall_s"]
-    print(f"{args.workload} seed {args.seed}: change won {wall['change_wins']} of {args.pairs} pairs on"
-          f" wall_s; medians {wall['change']['median']:.3f} s (change) vs {wall['parent']['median']:.3f} s"
-          f" (parent, quartiles {wall['parent']['q1']:.3f}-{wall['parent']['q3']:.3f});"
-          f" ratio median {wall['ratio_median']:.3f}; peak_rss_mb ratio median"
-          f" {result['peak_rss_mb']['ratio_median']:.4f}; digests"
-          f" {'match' if result['digests_match'] else 'DIFFER'}")
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs"
+          f"{f' of {args.seconds:g} s bench runs' if args.seconds else ' of worker runs'}:")
+    for m in metrics:
+        r = result[m["name"]]
+        print(f"  {m['name']:15s} change {r['change']['median']:.4g} vs parent {r['parent']['median']:.4g}"
+              f" (quartiles {r['parent']['q1']:.4g}-{r['parent']['q3']:.4g}) {m['unit']};"
+              f" won {r['change_wins']}/{args.pairs}, lost {r['parent_wins']};"
+              f" ratio median {r['ratio_median']:.3f}; gain {'met' if r['gain'] else 'not met'};"
+              f" {r['bound_verdict']} ({r['worse_by']:+.3f} against {m['bound']})")
+    print(f"  outputs {'match' if result['outputs_match'] else 'DIFFER'}: {json.dumps(result['outputs'])}")
     print(json.dumps(result))
 
     if args.record:
         record = json.loads(args.record.read_text()) if args.record.exists() else {}
-        versions = runs["change"][0].get("versions", {})
         record.update({
             "machine": {"nproc": os.cpu_count(), "platform": sys.platform},
-            "versions": versions,
+            "versions": next((r["versions"] for r in runs["change"] if "versions" in r),
+                             record.get("versions", {})),
             "commits": {"parent": commit(parent), "change": commit(CHANGE)},
         })
-        record.setdefault("runs", {})[f"{args.workload}@{args.seed}"] = result
+        key = f"{args.workload}@{args.seed}" + (f"/{args.seconds:g}s" if args.seconds else "")
+        record.setdefault("runs", {})[key] = result
         args.record.write_text(json.dumps(record, indent=2) + "\n")
-    return 0 if result["digests_match"] else 1
+    return 0 if result["outputs_match"] else 1
 
 
 if __name__ == "__main__":

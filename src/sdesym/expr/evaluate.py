@@ -17,6 +17,10 @@ cancellation-free magnitude that scales zero-test tolerances: sums add the
 magnitudes of their terms, products multiply them, a power raises its
 base's magnitude to its exponent, and any other node gives its |value|.
 
+Outputs are rows, lanes the contiguous axis: `Kernel.strict` returns them
+as (outputs, N) and `Kernel.__call__` writes output j into ``out[j]``,
+computing an output that no other node reads straight into its row.
+
 `evaluate`, `eval_array`, `eval_magnitude` and `expint_ei` are one-shot
 views of a kernel; repeat callers build one `Kernel` and reuse it.
 """
@@ -99,6 +103,12 @@ class Kernel:
             self.outputs += [self._magnitude(e) for e in magnitudes]
         tested = set(self.outputs).union(*(args for _, fn, args in self._ops if fn not in _PROPAGATING))
         self._tested = sorted(tested - self._constant)
+        # the output row a ufunc may write into: its slot is one output's and
+        # no node's argument (inputs, constants and shared slots are copied)
+        read = set().union(*(args for _, _, args in self._ops))
+        rows = {s: j for j, s in enumerate(self.outputs) if self.outputs.count(s) == 1 and s not in read}
+        self._steps = [(slot, fn, args, rows.get(slot) if isinstance(fn, np.ufunc) else None)
+                       for slot, fn, args in self._ops]
         self._constants_finite = all(math.isfinite(self._slots[s]) for s in self._constant)
 
     # -- lowering ----------------------------------------------------------
@@ -202,28 +212,37 @@ class Kernel:
         return self._op(np.abs, self._value(e))
 
     # -- execution ---------------------------------------------------------
-    def _run(self, inputs: Sequence[ArrayLike]) -> list:
-        """The values of all nodes, from one input value or array per column."""
+    def _run(self, inputs: Sequence[ArrayLike], out: Optional[np.ndarray] = None) -> list:
+        """The values of all nodes, from one input value or array per column.
+        With ``out``, output j is also written into the row ``out[j]``: an
+        in-place output with an array argument is computed there."""
         if len(inputs) != len(self._columns):
             raise ValueError(f"expected {len(self._columns)} input columns, got {len(inputs)}")
         slots = list(self._slots)
         for slot, column in self._inputs:
             slots[slot] = inputs[column]
+        written = set()
         with np.errstate(all="ignore"):
-            for slot, fn, args in self._ops:
-                slots[slot] = fn(*[slots[a] for a in args])
+            for slot, fn, args, row in self._steps:
+                values = [slots[a] for a in args]
+                if row is not None and out is not None and any(isinstance(v, np.ndarray) for v in values):
+                    slots[slot] = fn(*values, out=out[row])
+                    written.add(row)
+                else:
+                    slots[slot] = fn(*values)
+        if out is not None:
+            for j, s in enumerate(self.outputs):
+                if j not in written:
+                    out[j] = slots[s]
         return slots
 
     def __call__(self, inputs: Sequence[ArrayLike], out: Optional[np.ndarray] = None):
         """Non-strict run: NaN and inf propagate.  Returns the list of output
-        values (scalars or arrays, as they come), or writes output j into
-        ``out[:, j]`` and returns ``out``."""
-        slots = self._run(inputs)
-        if out is None:
-            return [slots[s] for s in self.outputs]
-        for j, s in enumerate(self.outputs):
-            out[:, j] = slots[s]
-        return out
+        values (scalars or arrays, as they come), or writes output j into the
+        row ``out[j]`` (the orientation of `strict`) and returns ``out``,
+        which must share no memory with the inputs."""
+        slots = self._run(inputs, out)
+        return [slots[s] for s in self.outputs] if out is None else out
 
     def strict(self, inputs: Sequence[ArrayLike]):
         """Strict run over lanes: returns ``(values, failed)``, the outputs as

@@ -29,6 +29,10 @@ claimed every chunk by then and the calling thread only steps.  No setting
 changes this, and because each value depends only on (seed, path, step,
 component), no output depends on the number of CPUs, on how the steps are
 blocked and chunked, or on which thread filled a chunk.
+
+The steppers' per-step buffers are rows of N paths, the path index on the
+contiguous axis; blocks of increments and histories stay (steps, N, m) and
+(K, N, n).  Each path sees the same operations in either layout.
 """
 
 from __future__ import annotations
@@ -289,29 +293,36 @@ class Run(NamedTuple):
 
 
 class _Integrator:
-    """One run's paths and the buffers its steps reuse."""
+    """One run's paths and the buffers its steps reuse, as rows of N paths:
+    ``x`` and ``new_x`` (n, N), ``c`` (n + n*m, N) with row i f_i and row
+    n + i*m + k sigma_ik.  While every path lives a step swaps ``x`` and
+    ``new_x``; once one is excluded, only kept paths are copied back."""
 
     def __init__(self, run: Run, t0: float, T: float, dt: float, n_paths: int, seed: int, snapshots: int,
                  wiener: bool = True):
         ctx = run.system.ctx
         n, m = ctx.n, ctx.m
-        # one kernel for all coefficients: column i is f_i, column n + i*m + k is sigma_ik
+        x0 = np.asarray(run.x0, dtype=float).ravel()
+        if x0.size != n:
+            raise FlowError(f"the start x0 has {x0.size} entries; the model has n = {n} states")
         coefficients = [*run.system.drift, *(run.system.sigma[i][k] for i in range(n) for k in range(m))]
         self.kernel = Kernel([simplify(e) for e in coefficients], ctx.states() + (TIME,), ctx.params)
         self.run, self.n, self.m = run, n, m
+        self.RT = None if run.dw_transform is None else np.ascontiguousarray(np.transpose(run.dw_transform))
         self.t0, self.T, self.dt, self.n_paths, self.seed = t0, T, dt, n_paths, seed
         self.steps = _step_count(t0, T, dt)
         self.snap = _snapshot_steps(self.steps, snapshots)
         self.snap_index = {int(s): i for i, s in enumerate(self.snap)}
-        self.c = np.empty((n_paths, len(coefficients)))
+        self.c = np.empty((len(coefficients), n_paths))
         self.c_pred = np.empty_like(self.c) if run.system.calculus == "stratonovich" else None
-        self.x = np.tile(np.asarray(run.x0, dtype=float), (n_paths, 1))
+        self.x = np.repeat(x0[:, None], n_paths, axis=1)
         self.new_x = np.empty_like(self.x)
         self.incr = np.empty(n_paths)
         self.term = np.empty(n_paths)
         self.magnitude = np.empty_like(self.x)
         self.ok = np.empty(self.x.shape, dtype=bool)
         self.alive = np.ones(n_paths, dtype=bool)
+        self.every_path_alive = True
         self.states = np.empty((len(self.snap), n_paths, n))
         # the running w and its snapshots, or None when w is not recorded
         self.w = np.zeros((n_paths, m)) if wiener else None
@@ -320,40 +331,44 @@ class _Integrator:
             self._record(self.snap_index[0])
 
     def _record(self, k: int) -> None:
-        self.states[k] = self.x
+        self.states[k] = self.x.T
         if self.ws is not None:
             self.ws[k] = self.w
 
     def step(self, s: int, t: float, dW: np.ndarray) -> None:
         n, m, dt = self.n, self.m, self.dt
         x, new_x, c, incr, term = self.x, self.new_x, self.c, self.incr, self.term
-        if self.run.dw_transform is not None:
-            dW = dW @ self.run.dw_transform.T
+        if self.RT is not None:
+            dW = np.dot(dW, self.RT)
         # Euler-Maruyama step, which is also Heun's predictor
-        self.kernel([*x.T, t], out=c)
+        self.kernel([*x, t], out=c)
         for i in range(n):
-            np.multiply(c[:, i], dt, out=incr)
+            np.multiply(c[i], dt, out=incr)
             for k in range(m):
-                incr += np.multiply(c[:, n + i * m + k], dW[:, k], out=term)
-            np.add(x[:, i], incr, out=new_x[:, i])
+                incr += np.multiply(c[n + i * m + k], dW[:, k], out=term)
+            np.add(x[i], incr, out=new_x[i])
         if self.c_pred is not None:
-            c_pred = self.kernel([*new_x.T, t + dt], out=self.c_pred)
+            c_pred = self.kernel([*new_x, t + dt], out=self.c_pred)
             for i in range(n):
-                np.add(c[:, i], c_pred[:, i], out=incr)
+                np.add(c[i], c_pred[i], out=incr)
                 incr *= 0.5
                 incr *= dt
                 for k in range(m):
                     j = n + i * m + k
-                    np.add(c[:, j], c_pred[:, j], out=term)
+                    np.add(c[j], c_pred[j], out=term)
                     term *= 0.5
                     term *= dW[:, k]
                     incr += term
-                np.add(x[:, i], incr, out=new_x[:, i])
+                np.add(x[i], incr, out=new_x[i])
 
         # also false for NaN and inf
         np.less(np.abs(new_x, out=self.magnitude), _DIVERGENCE_BOUND, out=self.ok)
-        self.alive &= self.ok.all(axis=1)
-        np.copyto(x, new_x, where=self.alive[:, None])
+        if self.every_path_alive and self.ok.all():
+            self.x, self.new_x = new_x, x
+        else:
+            self.every_path_alive = False
+            self.alive &= self.ok.all(axis=0)
+            np.copyto(x, new_x, where=self.alive)
         if self.w is not None:
             self.w += dW
         if (s + 1) in self.snap_index:
@@ -498,12 +513,12 @@ def flow_map(X: VectorField, s: float) -> Callable[[np.ndarray, np.ndarray], Tup
     kernel = Kernel(components, ctx.states() + ctx.wieners() + (TIME,), ctx.params)
 
     def velocity(z: np.ndarray) -> np.ndarray:
-        return kernel([*z.T, 0.0], out=np.empty(z.shape))
+        return kernel([*z, 0.0], out=np.empty(z.shape))
 
     substeps = 64
 
     def apply_numeric(states: np.ndarray, w: np.ndarray):
-        z = np.concatenate([states, w], axis=1).astype(float)
+        z = np.concatenate([states, w], axis=1).T.astype(float, order="C")  # (d, N) rows
         h = s / substeps
         with np.errstate(all="ignore"):
             for _ in range(substeps):
@@ -512,7 +527,7 @@ def flow_map(X: VectorField, s: float) -> Callable[[np.ndarray, np.ndarray], Tup
                 k3 = velocity(z + 0.5 * h * k2)
                 k4 = velocity(z + h * k3)
                 z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return z[:, : ctx.n], z[:, ctx.n :]
+        return z[: ctx.n].T, z[ctx.n :].T
 
     return apply_numeric
 
@@ -731,16 +746,14 @@ def evaluate_solution_form(sf: SolutionForm, grid: BrownianGrid, x0: float) -> n
     times = grid.times
     K = len(times)
     kernel = Kernel([sf.drift, *sf.noises], (TIME,) + sf.ctx.wieners(), sf.ctx.params)
-    values = kernel([times, *grid.w.T], out=np.empty((K, 1 + len(sf.noises))))
-    drift_vals = values[:, 0]
-    out = np.empty(K)
-    out[0] = x0
+    values = kernel([times, *grid.w.T], out=np.empty((1 + len(sf.noises), K)))
+    drift_vals = values[0]
     drift_cum = np.concatenate(
         [[0.0], np.cumsum(0.5 * (drift_vals[1:] + drift_vals[:-1]) * grid.dt)]
     )
     stoch_cum = np.zeros(K)
     for k in range(len(sf.noises)):
-        noise_vals = values[:, 1 + k]
+        noise_vals = values[1 + k]
         stoch_cum += np.concatenate(
             [[0.0], np.cumsum(noise_vals[:-1] * grid.increments[:, k])]
         )
@@ -749,8 +762,8 @@ def evaluate_solution_form(sf: SolutionForm, grid: BrownianGrid, x0: float) -> n
 
 class _Quadrature:
     """Running sums of a solution form x0 + int F dt + sum_k int S_k dw^k over
-    every path: trapezoidal in time, left-point in w.  Only the sums and the
-    current w are stored."""
+    every path: trapezoidal in time, left-point in w.  Only the sums, the
+    current w and one step's integrand values are stored, as rows of paths."""
 
     def __init__(self, sf: SolutionForm, t0: float, dt: float, n_paths: int, x0: float):
         m = sf.ctx.m
@@ -763,23 +776,29 @@ class _Quadrature:
         self.drift = Kernel([sf.drift], columns, sf.ctx.params)
         self.noises = Kernel(sf.noises[:m], columns, sf.ctx.params)
         self.m, self.dt, self.n_paths, self.x0 = m, dt, n_paths, x0
-        self.w = np.zeros((n_paths, m))
+        self.w = np.zeros((m, n_paths))
         self.drift_sum = np.zeros(n_paths)
         self.stoch_sum = np.zeros(n_paths)
+        self.noise_vals = np.empty((m, n_paths))
+        self.prev_drift = np.empty((1, n_paths))
+        self.new_drift = np.empty((1, n_paths))
+        self.term = np.empty(n_paths)
         with np.errstate(all="ignore"):
-            self.prev_drift = self.at(self.drift, t0)[:, 0]
-
-    def at(self, kernel: Kernel, t: float) -> np.ndarray:
-        return kernel([t, *self.w.T], out=np.empty((self.n_paths, len(kernel.outputs))))
+            self.drift([t0, *self.w], out=self.prev_drift)
 
     def step(self, s: int, t: float, dW: np.ndarray) -> None:
-        noise_vals = self.at(self.noises, t)
+        term = self.term
+        self.noises([t, *self.w], out=self.noise_vals)
         for k in range(self.m):
-            self.stoch_sum += noise_vals[:, k] * dW[:, k]
-        self.w = self.w + dW
-        new_drift = self.at(self.drift, t + self.dt)[:, 0]
-        self.drift_sum += 0.5 * (self.prev_drift + new_drift) * self.dt
-        self.prev_drift = new_drift
+            self.stoch_sum += np.multiply(self.noise_vals[k], dW[:, k], out=term)
+        self.w += dW.T
+        self.drift([t + self.dt, *self.w], out=self.new_drift)
+        # drift_sum += 0.5 * (prev + new) * dt, in that order
+        np.add(self.prev_drift[0], self.new_drift[0], out=term)
+        term *= 0.5
+        term *= self.dt
+        self.drift_sum += term
+        self.prev_drift, self.new_drift = self.new_drift, self.prev_drift
 
     def terminals(self) -> np.ndarray:
         return self.x0 + self.drift_sum + self.stoch_sum
@@ -859,7 +878,7 @@ def pipeline_crosscheck(
     x_T = direct.terminal_states()[:, 0]
     if cov.inverse is not None:
         inverse = Kernel(cov.inverse[:1], ctx.all_vars(), ctx.params)
-        mapped_back = inverse([terminals, T, *w_T.T], out=np.empty((n_paths, 1)))[:, 0]
+        mapped_back = inverse([terminals, T, *w_T.T], out=np.empty((1, n_paths)))[0]
     else:
         solve = numeric_inverse(cov)
         mapped_back = np.full_like(terminals, np.nan)

@@ -454,6 +454,34 @@ def test_kernel_batch_equals_single_lanes():
                 assert one[:, 0].tobytes() == values[:, j].tobytes(), to_string(e)
 
 
+def _row_batches():
+    """Batches of three oracle trees over the lanes of all their points:
+    the trees alone, with the first also an argument of the second output,
+    and among a bare input, a constant and a repeated output."""
+    cases = list(oracle_cases(ORACLE["seed"], ORACLE["count"], CTX))
+    for g in range(0, len(cases) - 2, 3):
+        (e, p), (f, q), (h, r) = cases[g : g + 3]
+        lanes = np.array([[point[v] for v in CTX.all_vars()] for point in p + q + r])
+        yield [e, f, h], lanes
+        yield [e, Sum((e, f)), h], lanes
+        yield [Var(state(1)), e, Const(Fraction(3, 2)), e, f], lanes
+
+
+def test_kernel_rows_equal_strict_values():
+    # __call__ computes an output no other node reads straight into its row
+    # of ``out``; every row must still equal strict's value bit for bit
+    batches = 0
+    for exprs, lanes in _row_batches():
+        kernel = Kernel(exprs, CTX.all_vars(), magnitudes=exprs[:2])
+        columns = list(lanes.T)
+        values, _ = kernel.strict(columns)
+        out = np.full((len(kernel.outputs), len(lanes)), 7.0)
+        assert kernel(columns, out=out) is out
+        assert out.tobytes() == values.tobytes(), [to_string(e) for e in exprs]
+        batches += 1
+    assert batches >= 3 * (ORACLE["count"] // 3)
+
+
 def test_kernel_rejects_wrong_column_count():
     kernel = Kernel([parse("x1 + t", CTX)], (state(1), TIME))
     with pytest.raises(ValueError, match="2 input columns"):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import threading
@@ -414,6 +415,70 @@ def test_divergent_paths_are_flagged():
     stats = ensemble_stats(ens)  # statistics over the surviving paths
     assert np.all(np.isfinite(stats.mean))
     assert _same_stats(stats, _reference_stats(ens.states, ~ens.excluded))
+
+
+# digests of (states, excluded, w) recorded before the integrator kept its
+# paths in rows and swapped its state buffers while every path lived
+@pytest.mark.parametrize("scheme, x0, excluded, digest", [
+    ("em", [10.0, 10.0], 267, "a0ad7c8cedbdeaa0"),
+    ("em", [10.0, 0.0], 9, "a7a1d84701552e1d"),
+    ("heun", [10.0, 10.0], 370, "8a906ca584b1d046"),
+])
+def test_paths_that_die_partway_keep_their_states(scheme, x0, excluded, digest):
+    system = bundle("isotropic_nonlinear_oscillator").system
+    if scheme == "em":
+        ens = euler_maruyama(system, x0, T=0.5, dt=1e-2, n_paths=400, seed=3, snapshots=10)
+    else:
+        ens = heun_stratonovich(ito_to_strat(system), x0, T=0.5, dt=1e-2, n_paths=400, seed=3, snapshots=10)
+    assert int(ens.excluded.sum()) == excluded
+    # an excluded path keeps the last state it reached within bounds
+    moved = np.any(ens.states[-1] != ens.states[0], axis=1)
+    assert moved[ens.excluded].all() and np.all(np.abs(ens.states) < 1e10)
+    blob = ens.states.tobytes() + ens.excluded.tobytes() + ens.w.tobytes()
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest
+
+
+def test_an_excluded_path_stays_where_it_left_when_every_path_is_in_bounds_again():
+    # the noise blows up on the step from t = 0.03 alone: about a third of
+    # the paths leave the bounds there, and every later step is in bounds
+    ctx = Context(n=1, m=1)
+    burst = ItoSystem(ctx, (parse("-x", ctx),), ((parse("1e11*exp(-1000000*(t - 0.03)^2)", ctx),),))
+    ens = euler_maruyama(burst, [1.0], T=0.1, dt=1e-2, n_paths=500, seed=6, snapshots=0)
+    assert 0.2 < ens.excluded_fraction < 0.45
+    assert np.all(ens.states[4:, ens.excluded] == ens.states[3, ens.excluded])
+    assert np.all(ens.states[4:, ~ens.excluded] != ens.states[3:-1, ~ens.excluded])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_wiener_action_maps_each_step_as_the_matrix_product(m):
+    # dx = dw with x0 = 0: the states and w are the running sums of the
+    # mapped increments, summed in step order
+    ctx = Context(n=m, m=m)
+    sigma = tuple(tuple(ONE if i == k else ZERO for k in range(m)) for i in range(m))
+    R = np.random.default_rng(m).normal(size=(m, m))
+    ens = euler_maruyama(ItoSystem(ctx, (ZERO,) * m, sigma), [0.0] * m, T=0.05, dt=1e-2,
+                         n_paths=300, seed=4, snapshots=0, dw_transform=R)
+    dW = Increments(4, 300, m, 1e-2).fill(np.empty((5, 300, m)), 0)
+    mapped = np.concatenate([np.zeros((1, 300, m)), np.cumsum(dW @ R.T, axis=0)])
+    assert ens.w.tobytes() == mapped.tobytes()
+    assert ens.states.tobytes() == mapped.tobytes()
+
+
+@pytest.mark.parametrize("x0", [[1.0, 2.0], [], [[1.0], [2.0]]])
+def test_a_start_of_the_wrong_length_is_refused_before_any_draw(monkeypatch, x0):
+    system = bundle("linear_additive").system
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an increment was drawn")
+
+    monkeypatch.setattr(mc.Increments, "fill", no_draw)
+    with pytest.raises(FlowError, match=f"{len(np.ravel(x0))} entries; the model has n = 1 states"):
+        euler_maruyama(system, x0, T=0.1, dt=1e-2, n_paths=10)
+    with pytest.raises(FlowError, match="the model has n = 2 states"):
+        euler_maruyama(bundle("isotropic_oscillator_2d").system, [1.0], T=0.1, dt=1e-2, n_paths=10)
+    monkeypatch.undo()
+    scalar = euler_maruyama(system, 1.0, T=0.1, dt=1e-2, n_paths=10, seed=2)
+    assert np.array_equal(scalar.states, euler_maruyama(system, [1.0], T=0.1, dt=1e-2, n_paths=10, seed=2).states)
 
 
 # ---------------------------------------------------------------------------
