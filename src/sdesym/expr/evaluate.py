@@ -103,12 +103,6 @@ class Kernel:
             self.outputs += [self._magnitude(e) for e in magnitudes]
         tested = set(self.outputs).union(*(args for _, fn, args in self._ops if fn not in _PROPAGATING))
         self._tested = sorted(tested - self._constant)
-        # the output row a ufunc may write into: its slot is one output's and
-        # no node's argument (inputs, constants and shared slots are copied)
-        read = set().union(*(args for _, _, args in self._ops))
-        rows = {s: j for j, s in enumerate(self.outputs) if self.outputs.count(s) == 1 and s not in read}
-        self._steps = [(slot, fn, args, rows.get(slot) if isinstance(fn, np.ufunc) else None)
-                       for slot, fn, args in self._ops]
         self._constants_finite = all(math.isfinite(self._slots[s]) for s in self._constant)
 
     # -- lowering ----------------------------------------------------------
@@ -221,20 +215,32 @@ class Kernel:
         slots = list(self._slots)
         for slot, column in self._inputs:
             slots[slot] = inputs[column]
-        written = set()
         with np.errstate(all="ignore"):
-            for slot, fn, args, row in self._steps:
+            if out is None:
+                for slot, fn, args in self._ops:
+                    slots[slot] = fn(*[slots[a] for a in args])
+                return slots
+            written = set()
+            for slot, fn, args, row in self._row_ops:
                 values = [slots[a] for a in args]
-                if row is not None and out is not None and any(isinstance(v, np.ndarray) for v in values):
+                if row is not None and any(isinstance(v, np.ndarray) for v in values):
                     slots[slot] = fn(*values, out=out[row])
                     written.add(row)
                 else:
                     slots[slot] = fn(*values)
-        if out is not None:
-            for j, s in enumerate(self.outputs):
-                if j not in written:
-                    out[j] = slots[s]
+        for j, s in enumerate(self.outputs):
+            if j not in written:
+                out[j] = slots[s]
         return slots
+
+    @functools.cached_property
+    def _row_ops(self) -> list:
+        """`_ops`, each with the row of ``out`` it may compute into: a ufunc's
+        slot that is one output's and no node's argument; others are copied."""
+        read = set().union(*(args for _, _, args in self._ops))
+        rows = {s: j for j, s in enumerate(self.outputs) if self.outputs.count(s) == 1 and s not in read}
+        return [(slot, fn, args, rows.get(slot) if isinstance(fn, np.ufunc) else None)
+                for slot, fn, args in self._ops]
 
     def __call__(self, inputs: Sequence[ArrayLike], out: Optional[np.ndarray] = None):
         """Non-strict run: NaN and inf propagate.  Returns the list of output

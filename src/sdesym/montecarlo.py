@@ -782,22 +782,16 @@ class _Quadrature:
         self.noise_vals = np.empty((m, n_paths))
         self.prev_drift = np.empty((1, n_paths))
         self.new_drift = np.empty((1, n_paths))
-        self.term = np.empty(n_paths)
         with np.errstate(all="ignore"):
             self.drift([t0, *self.w], out=self.prev_drift)
 
     def step(self, s: int, t: float, dW: np.ndarray) -> None:
-        term = self.term
         self.noises([t, *self.w], out=self.noise_vals)
         for k in range(self.m):
-            self.stoch_sum += np.multiply(self.noise_vals[k], dW[:, k], out=term)
+            self.stoch_sum += self.noise_vals[k] * dW[:, k]
         self.w += dW.T
         self.drift([t + self.dt, *self.w], out=self.new_drift)
-        # drift_sum += 0.5 * (prev + new) * dt, in that order
-        np.add(self.prev_drift[0], self.new_drift[0], out=term)
-        term *= 0.5
-        term *= self.dt
-        self.drift_sum += term
+        self.drift_sum += 0.5 * (self.prev_drift[0] + self.new_drift[0]) * self.dt
         self.prev_drift, self.new_drift = self.new_drift, self.prev_drift
 
     def terminals(self) -> np.ndarray:
