@@ -11,9 +11,9 @@ N`` repetition in a fresh interpreter, or with --seconds one ``bench/run.py
 medians over repetitions.
 
 Every end-to-end metric of the change's BENCHMARK.json is reported for each
-pair.  From one repetition they are computed as ``bench/run.py`` computes
-them: ``verdict_p90_ms`` is the inclusive 90th percentile of the item
-times, and ``correct_frac`` the share of items whose check held.  For each
+pair.  From one worker repetition they are computed by the change's own
+``bench/run.py``, loaded by path: its ``end_to_end`` over that one
+repetition, with ``correct_frac`` from its ``check_consistency``.  For each
 metric it then prints each side's median and quartiles, the median
 change/parent ratio, and two verdicts:
 
@@ -28,11 +28,12 @@ change/parent ratio, and two verdicts:
 Worker runs also compare the output digest, the item verdicts and
 ``path_steps`` of every run.  The last line of standard output is the
 result as JSON; with --record it is also stored in that file under the key
-``W@N`` (``W@N/Ss`` for --seconds runs), beside the machine, the versions
-and both commits.  Nothing under ``bench/`` is edited.
+``W@N`` (``W@N/Ss`` for --seconds runs) with both commits, beside the
+machine and the versions.  Nothing under ``bench/`` is edited.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
@@ -43,19 +44,20 @@ from pathlib import Path
 CHANGE = Path(__file__).resolve().parents[1]
 
 
-def p90(values: list) -> float:
-    return statistics.quantiles(values, n=10, method="inclusive")[8]
+def load_bench_run():
+    spec = importlib.util.spec_from_file_location("bench_run", CHANGE / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-# each metric of one worker repetition, as bench/run.py computes it
-FROM_WORKER = {
-    "setup_s": lambda r: r["setup_s"],
-    "wall_s": lambda r: r["wall_s"],
-    "verdict_p50_ms": lambda r: statistics.median(i["ms"] for i in r["items"]),
-    "verdict_p90_ms": lambda r: p90([i["ms"] for i in r["items"]]),
-    "peak_rss_mb": lambda r: r["peak_rss_mb"],
-    "correct_frac": lambda r: sum(i["ok"] for i in r["items"]) / len(r["items"]),
-}
+BENCH = load_bench_run()
+
+
+def from_worker(rep: dict) -> dict:
+    """The end-to-end metrics of one worker repetition, as bench/run.py computes them."""
+    failed = BENCH.check_consistency([rep])
+    return BENCH.end_to_end([rep], 1.0 - failed / len(rep["items"]))
 
 
 def last_json(checkout: Path, cmd: list) -> dict:
@@ -71,7 +73,8 @@ def measure(checkout: Path, args, metrics: list) -> dict:
         return {"metrics": {m["name"]: out["metrics"][m["name"]]["value"] for m in metrics},
                 "same": {"correct": out["correct"]}}
     rep = last_json(checkout, ["bench/worker.py", "--workload", args.workload, "--seed", str(args.seed)])
-    return {"metrics": {m["name"]: FROM_WORKER[m["name"]](rep) for m in metrics},
+    values = from_worker(rep)
+    return {"metrics": {m["name"]: values[m["name"]] for m in metrics},
             "same": {"digest": rep["digest"], "verdicts": [i["verdict"] for i in rep["items"]],
                      "path_steps": rep["path_steps"]},
             "versions": rep["versions"]}
@@ -143,7 +146,8 @@ def main() -> int:
         cells = [f"{name} {c[name]:.4g}/{p[name]:.4g}" for name in p]
         print(f"pair {k + 1:2d} ({order[0]} first): " + "  ".join(cells))
 
-    result = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs, "seconds": args.seconds}
+    result = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs, "seconds": args.seconds,
+              "commits": {"parent": commit(parent), "change": commit(CHANGE)}}
     for m in metrics:
         name = m["name"]
         result[name] = compare([r["metrics"][name] for r in runs["parent"]],
@@ -170,7 +174,6 @@ def main() -> int:
             "machine": {"nproc": os.cpu_count(), "platform": sys.platform},
             "versions": next((r["versions"] for r in runs["change"] if "versions" in r),
                              record.get("versions", {})),
-            "commits": {"parent": commit(parent), "change": commit(CHANGE)},
         })
         key = f"{args.workload}@{args.seed}" + (f"/{args.seconds:g}s" if args.seconds else "")
         record.setdefault("runs", {})[key] = result

@@ -5,10 +5,14 @@ calculus), integrate (scalar symmetry-adapted integration with Monte Carlo
 cross-check), reduce (sequential reduction), simulate (path ensembles with
 CSV/JSON output), examples (regression run over the bundled models).
 
-Exit codes: 0 success, 1 usage/parse error (argparse rejections, bad option
-values, unreadable models, and fields or changes of variables a command
-cannot use, each reported as one ``error:`` line), 2 verdict failure in
+Exit codes: 0 success, 1 usage/parse error, 2 verdict failure in
 ``examples``, 3 inconclusive result under --strict.
+
+Errors have one boundary.  Every error class of the package is a
+``ValueError``, and so is every refusal a handler makes itself (bad option
+values, fields or changes of variables a command cannot use); each leaves
+through `main` as one ``error: <message>`` line on stderr with exit 1.
+argparse rejections of the command line exit 1 as well.
 """
 
 from __future__ import annotations
@@ -24,11 +28,10 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import montecarlo as mc
-from .expr import ExprSyntaxError, ZeroTestConfig, to_string
+from .expr import ZeroTestConfig, to_string
 from .modelfile import ModelBundle, ModelFileError, load_model, render_system
 from .reduction import (
     ChangeOfVariables,
-    ReductionError,
     compatibility_check,
     integrate_scalar,
     integrating_variable,
@@ -132,8 +135,7 @@ def cmd_check(args) -> int:
     worst = EXIT_OK
     for name in names:
         if name not in bundle.vectorfields:
-            print(f"error: no vector field named {name!r} in the model", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"no vector field named {name!r} in the model")
         X = bundle.vectorfields[name]
         entry = {"name": name}
         entry["classification"] = classify(X, bundle.system, config).to_dict()
@@ -189,27 +191,21 @@ def cmd_convert(args) -> int:
 def cmd_integrate(args) -> int:
     if args.paths == 1 or args.paths < 0:
         # the cross-check compares two sample means: it needs two paths
-        print("error: --paths must be 0 (no cross-check) or at least 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--paths must be 0 (no cross-check) or at least 2")
     bundle = _resolve_model(args.model)
     config = _config_for(bundle, args)
     if bundle.system.calculus != "ito":
-        print("error: integrate expects an Ito model", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("integrate expects an Ito model")
     sys_ito: ItoSystem = bundle.system
     if sys_ito.ctx.n != 1:
-        print("error: direct integration applies to scalar models", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("direct integration applies to scalar models")
     if not args.field:
-        print("error: --field is required", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--field is required")
     if len(args.field) > 1 or len(args.cov or []) > 1:
-        print("error: integrate takes one --field and at most one --cov", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("integrate takes one --field and at most one --cov")
     name = args.field[0]
     if name not in bundle.vectorfields:
-        print(f"error: no vector field named {name!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"no vector field named {name!r}")
     X = bundle.vectorfields[name]
 
     cov: Optional[ChangeOfVariables] = None
@@ -265,19 +261,15 @@ def cmd_reduce(args) -> int:
     bundle = _resolve_model(args.model)
     config = _config_for(bundle, args)
     if bundle.system.calculus != "ito":
-        print("error: reduce expects an Ito model", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("reduce expects an Ito model")
     if not args.field:
-        print("error: at least one --field is required", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("at least one --field is required")
     try:
         fields = [bundle.vectorfields[name] for name in args.field]
     except KeyError as err:
-        print(f"error: no vector field named {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"no vector field named {err}")
     if len(args.cov or []) > len(fields):
-        print("error: reduce takes no more --cov flags than --field flags", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("reduce takes no more --cov flags than --field flags")
     covs = [_resolve_cov(bundle, name) for name in args.cov or []]
     while len(covs) < len(fields):
         covs.append(scaling_adapted_cov(bundle.ctx))
@@ -297,23 +289,19 @@ def cmd_reduce(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.paths < 1:
-        print("error: --paths must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--paths must be at least 1")
     bundle = _resolve_model(args.model)
     x0 = args.x0_list or [args.x0] * bundle.ctx.n
     if len(x0) != bundle.ctx.n:
-        print(f"error: need {bundle.ctx.n} initial values", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"need {bundle.ctx.n} initial values")
     if not all(map(math.isfinite, x0)):
-        print(f"error: the start x0 = {', '.join(map(str, x0))} is not finite", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"the start x0 = {', '.join(map(str, x0))} is not finite")
     if args.csv_out:  # a path that cannot be written is refused before the run
         existed = os.path.lexists(args.csv_out)
         try:
             open(args.csv_out, "a").close()  # appending changes no file
         except OSError as err:
-            print(f"error: cannot write {args.csv_out}: {err.strerror}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"cannot write {args.csv_out}: {err.strerror}")
         if not existed:
             os.remove(args.csv_out)
     integrate = mc.euler_maruyama if bundle.system.calculus == "ito" else mc.heun_stratonovich
@@ -326,8 +314,7 @@ def cmd_simulate(args) -> int:
         try:
             Path(args.csv_out).write_text(csv_text)
         except OSError as err:
-            print(f"error: cannot write {args.csv_out}: {err.strerror}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"cannot write {args.csv_out}: {err.strerror}")
     payload = {
         "meta": {
             "model": str(bundle.path),
@@ -354,21 +341,14 @@ def cmd_simulate(args) -> int:
 # examples (regression over the bundled models)
 
 
-def _run_examples(only: Optional[str], seed: int, tol: float):
+def cmd_examples(args) -> int:
     from .examples import REGISTRY, run_case
 
-    names = [only] if only else list(REGISTRY)
+    names = [args.only] if args.only else list(REGISTRY)
     unknown = [n for n in names if n not in REGISTRY]
     if unknown:
-        raise ModelFileError(f"unknown example name(s): {unknown}; known: {list(REGISTRY)}")
-    results = []
-    for name in names:
-        results.append(run_case(name, seed=seed, tol=tol))
-    return results
-
-
-def cmd_examples(args) -> int:
-    results = _run_examples(args.only, args.seed, args.tol)
+        raise ValueError(f"unknown example name(s): {unknown}; known: {list(REGISTRY)}")
+    results = [run_case(name, seed=args.seed, tol=args.tol) for name in names]
     payload = {
         "seed": args.seed,
         "tolerance": args.tol,
@@ -476,7 +456,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_OK if done.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except (ModelFileError, ExprSyntaxError, ReductionError, SymmetryError, mc.FlowError) as err:
+    except ValueError as err:  # every error of the package is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,7 +19,8 @@ base's magnitude to its exponent, and any other node gives its |value|.
 
 Outputs are rows, lanes the contiguous axis: `Kernel.strict` returns them
 as (outputs, N) and `Kernel.__call__` writes output j into ``out[j]``,
-computing an output that no other node reads straight into its row.
+computing an output that appears once among the outputs straight into its
+row; a node that reads it reads that row.
 
 `evaluate`, `eval_array`, `eval_magnitude` and `expint_ei` are one-shot
 views of a kernel; repeat callers build one `Kernel` and reuse it.
@@ -236,9 +237,9 @@ class Kernel:
     @functools.cached_property
     def _row_ops(self) -> list:
         """`_ops`, each with the row of ``out`` it may compute into: a ufunc's
-        slot that is one output's and no node's argument; others are copied."""
-        read = set().union(*(args for _, _, args in self._ops))
-        rows = {s: j for j, s in enumerate(self.outputs) if self.outputs.count(s) == 1 and s not in read}
+        slot that is one output's; others are copied.  A later node that
+        reads such a slot reads the row, which no other node writes."""
+        rows = {s: j for j, s in enumerate(self.outputs) if self.outputs.count(s) == 1}
         return [(slot, fn, args, rows.get(slot) if isinstance(fn, np.ufunc) else None)
                 for slot, fn, args in self._ops]
 
@@ -246,7 +247,9 @@ class Kernel:
         """Non-strict run: NaN and inf propagate.  Returns the list of output
         values (scalars or arrays, as they come), or writes output j into the
         row ``out[j]`` (the orientation of `strict`) and returns ``out``,
-        which must share no memory with the inputs."""
+        which must share no memory with the inputs.  An output found once
+        among the outputs is computed in its row, and nodes that read it
+        read the row."""
         slots = self._run(inputs, out)
         return [slots[s] for s in self.outputs] if out is None else out
 

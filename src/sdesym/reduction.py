@@ -208,7 +208,7 @@ def _linear_in(e: Expr, v) -> Optional[Tuple[Expr, Expr]]:
     return a, rest
 
 
-def integrating_variable(phi: Expr, ctx: Context, state_index: int = 1) -> Expr:
+def integrating_variable(phi: Expr, ctx: Context) -> Expr:
     """Integrating variable of a simple scalar symmetry: the antiderivative
     of 1/phi in the state variable.
 
@@ -216,7 +216,7 @@ def integrating_variable(phi: Expr, ctx: Context, state_index: int = 1) -> Expr:
     (any factors free of y fold into C).  Anything else falls back to a
     quadrature-defined function with symbolic derivative 1/phi.
     """
-    y = state(state_index)
+    y = state(1)
     phi = simplify(phi)
     if isinstance(phi, Const) and phi.value == 0:
         raise ReductionError("phi is identically zero")
@@ -522,7 +522,7 @@ def transform_W(
     return gsde
 
 
-def numeric_inverse(cov: ChangeOfVariables, config: Optional[ZeroTestConfig] = None):
+def numeric_inverse(cov: ChangeOfVariables):
     """Evaluation-only inverse of a state map that fixes w: damped Newton on
     Phi(x; t, w) = y per point.  Used when no symbolic inverse is supplied;
     never used for symbolic re-expression, so transformed coefficients stay
@@ -906,7 +906,7 @@ def reduce_sequence(
             return ChainResult(steps, False, reason=reason)
         try:
             current = result.transformed.as_ito_system()
-        except Exception as err:  # noqa: BLE001 - diagnostic path
+        except ValueError as err:
             return ChainResult(steps, False, reason=str(err))
         nxt = generators[idx + 1]
         if nxt.noise is None and cov.wiener is None:

@@ -167,8 +167,8 @@ def other_form(sys: System) -> System:
     return ito_to_strat(sys) if sys.calculus == "ito" else strat_to_ito(sys)
 
 
-def sigma_rank_info(sys, box=None, points: int = 8, seed: int = 0) -> dict:
-    """Informational only: numeric rank of the diffusion matrix at sample
+def sigma_rank_info(sys, box=None, seed: int = 0) -> dict:
+    """Informational only: numeric rank of the diffusion matrix at 8 sample
     points.  No rank condition is imposed anywhere; a rank-deficient sigma
     simply means some state directions are driven deterministically."""
     import numpy as np
@@ -176,6 +176,7 @@ def sigma_rank_info(sys, box=None, points: int = 8, seed: int = 0) -> dict:
     from .expr import EvaluationError, Kernel, SamplingBox
 
     box = box or SamplingBox()
+    points = 8
     rng = np.random.default_rng(seed)
     ctx = sys.ctx
     columns = (TIME,) + ctx.states()  # the order of the draws

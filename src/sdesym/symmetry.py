@@ -172,7 +172,7 @@ class ConformalVerdict:
     reason: str = ""
 
 
-def conformal_check(R, tol: float = 1e-12) -> ConformalVerdict:
+def conformal_check(R) -> ConformalVerdict:
     """A constant matrix generates a linear conformal action iff its
     symmetric part is a multiple of the identity: R + R^T = 2 lam I.
     The skew part generates rotations, lam the dilation."""
@@ -183,7 +183,7 @@ def conformal_check(R, tol: float = 1e-12) -> ConformalVerdict:
     lam = float(np.trace(R)) / m
     sym = (R + R.T) / 2.0
     deviation = float(np.max(np.abs(sym - lam * np.eye(m))))
-    if deviation > tol:
+    if deviation > 1e-12:
         return ConformalVerdict(
             False,
             reason=(
@@ -652,20 +652,21 @@ class SolvabilityResult:
     detail: str = ""
 
 
+def _wiener_matrix(X: VectorField) -> np.ndarray:
+    """R of a Wiener action w -> R w, zeros for a field without one."""
+    return X.noise.matrix if isinstance(X.noise, LinearW) else np.zeros((X.ctx.m, X.ctx.m))
+
+
 def _field_features(X: VectorField, columns, points: np.ndarray) -> np.ndarray:
     """Components of X at each row of ``points``, then its Wiener matrix."""
-    ctx = X.ctx
-    values, failed = Kernel(X.phi, columns, ctx.params).strict(points.T)
+    values, failed = Kernel(X.phi, columns, X.ctx.params).strict(points.T)
     if failed.any():
         raise EvaluationError(f"a component of the field is not finite at {points[failed][0]}")
-    matrix = X.noise.matrix if isinstance(X.noise, LinearW) else np.zeros((ctx.m, ctx.m))
-    return np.concatenate([values.T.ravel(), matrix.ravel()])
+    return np.concatenate([values.T.ravel(), _wiener_matrix(X).ravel()])
 
 
 def solvability_check(
-    generators: Sequence[VectorField],
-    config: Optional[ZeroTestConfig] = None,
-    tol: float = 1e-8,
+    generators: Sequence[VectorField], config: Optional[ZeroTestConfig] = None
 ) -> SolvabilityResult:
     """Closure + derived-series analysis of a list of simple generators.
 
@@ -674,6 +675,7 @@ def solvability_check(
     derived series is then pure linear algebra on the structure constants.
     """
     config = config or ZeroTestConfig()
+    tol = 1e-8  # numeric rank and span tolerance of the structure constants
     generators = list(generators)
     r = len(generators)
     if r == 0:
@@ -711,17 +713,8 @@ def solvability_check(
                         False,
                         detail=f"[X{i+1},X{j+1}] does not lie in the span of the generators",
                     )
-            RB = bracket.noise.matrix if isinstance(bracket.noise, LinearW) else np.zeros((ctx.m, ctx.m))
-            RC = sum(
-                coeffs[k]
-                * (
-                    generators[k].noise.matrix
-                    if isinstance(generators[k].noise, LinearW)
-                    else np.zeros((ctx.m, ctx.m))
-                )
-                for k in range(r)
-            )
-            if np.max(np.abs(RB - RC)) > tol:
+            RC = sum(coeffs[k] * _wiener_matrix(generators[k]) for k in range(r))
+            if np.max(np.abs(_wiener_matrix(bracket) - RC)) > tol:
                 return SolvabilityResult(
                     "inconclusive",
                     [],

@@ -1,7 +1,11 @@
 import argparse
 import contextlib
+import importlib
+import inspect
 import io
 import json
+import os
+import pkgutil
 import tempfile
 import threading
 import tracemalloc
@@ -12,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdesym
 from sdesym import cli
-from sdesym.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, _emit, main, model_dir
+from sdesym.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, EXIT_VERDICT, _emit, main, model_dir
+from sdesym.examples import REGISTRY, CaseResult, run_case
 from sdesym.expr import ONE, parse
 from sdesym.modelfile import ModelFileError, load_model
 from sdesym.reduction import SolutionForm
@@ -456,6 +462,29 @@ def test_examples_unknown_name(capsys):
     assert "unknown example" in err
 
 
+def test_examples_failing_case_exits_verdict(capsys, monkeypatch):
+    monkeypatch.setitem(REGISTRY, "power_noise", lambda seed, config: CaseResult("power_noise", "fail", "forced"))
+    code, out, err = run(capsys, "examples", "--only", "power_noise")
+    assert (code, err) == (EXIT_VERDICT, "")
+    assert "FAIL" in out
+
+
+# the examples that are neither Monte Carlo runs nor measured by the
+# acceptance criteria 06 (agreement_randomized) and 07 (split_w_property)
+SYMBOLIC_EXAMPLES = [
+    name for name in REGISTRY
+    if name not in {"cross_scheme", "linear_sde_moments", "validation_runs", "integrable_pipelines",
+                    "agreement_randomized", "split_w_property"}
+]
+
+
+@pytest.mark.parametrize("name", SYMBOLIC_EXAMPLES)
+def test_symbolic_example_passes(name):
+    result = run_case(name)
+    assert result.status == "pass", result.detail
+
+
+
 def test_check_stratonovich_model(capsys):
     code, out, _ = run(capsys, "check", "--model", "linear_strat_oscillator", "--json")
     assert code == EXIT_OK
@@ -543,6 +572,96 @@ def test_rejected_command_line_exits_usage(capsys, argv):
     code, _, err = run(capsys, *argv.split())
     assert code == EXIT_USAGE
     assert "error:" in err and "Traceback" not in err
+
+
+# Every refusal the CLI makes, with its exact diagnostic: each one leaves
+# through main as one ``error:`` line with exit 1.  {tmp} stands for a fresh
+# directory; the last rows are the unknown model, --cov and --only names.
+USAGE_ERRORS = [
+    ("check --model linear_additive --field nope", "no vector field named 'nope' in the model"),
+    ("integrate --model exp_decay_diffusion --field shift --paths 1",
+     "--paths must be 0 (no cross-check) or at least 2"),
+    ("integrate --model linear_strat_oscillator --field scaling", "integrate expects an Ito model"),
+    ("integrate --model isotropic_oscillator_2d --field rotation",
+     "direct integration applies to scalar models"),
+    ("integrate --model exp_decay_diffusion", "--field is required"),
+    ("integrate --model exp_decay_diffusion --field shift --field shift",
+     "integrate takes one --field and at most one --cov"),
+    ("integrate --model exp_decay_diffusion --field nope", "no vector field named 'nope'"),
+    ("reduce --model linear_strat_oscillator --field scaling", "reduce expects an Ito model"),
+    ("reduce --model linear_additive", "at least one --field is required"),
+    ("reduce --model linear_additive --field nope", "no vector field named 'nope'"),
+    ("reduce --model linear_additive --field scaling --cov builtin:scaling --cov builtin:scaling",
+     "reduce takes no more --cov flags than --field flags"),
+    ("simulate --model linear_additive --paths 0", "--paths must be at least 1"),
+    ("simulate --model linear_additive --x0-list 1,2", "need 1 initial values"),
+    ("simulate --model linear_additive --x0 nan", "the start x0 = nan is not finite"),
+    ("simulate --model linear_additive --paths 10 --dt 0.1 --csv-out {tmp}/missing/x.csv",
+     "cannot write {tmp}/missing/x.csv: No such file or directory"),
+    # the probe appends nothing and succeeds; writing the table fails after the run
+    pytest.param("simulate --model linear_additive --paths 10 --dt 0.1 --csv-out /dev/full",
+                 "cannot write /dev/full: No space left on device",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+    ("check --model no_such_model",
+     "cannot read model file {models}/no_such_model.model: [Errno 2] No such file or directory: "
+     "'{models}/no_such_model.model'"),
+    ("reduce --model linear_additive --field scaling --cov nosuch", "no change of variables named 'nosuch'"),
+    ("examples --only no_such_case", f"unknown example name(s): ['no_such_case']; known: {list(REGISTRY)}"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_error_is_one_line_and_exit_1(tmp_path, capsys, argv, message):
+    def fill(text):
+        return text.replace("{tmp}", str(tmp_path)).replace("{models}", str(model_dir()))
+
+    code, out, err = run(capsys, *fill(argv).split())
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {fill(message)}\n")
+
+
+SCALAR_HEADER = "[system]\nn = 1\nm = 1\ntype = ito\n"
+
+
+@pytest.mark.parametrize("model, argv, message", [
+    # a drift that reads a parameter the model does not bind
+    ("f1 = lam*x\nsigma_1_1 = 1\n", "simulate --paths 10 --dt 0.1", "unbound parameter lam"),
+    # the solvability check of two fields, one reading an unbound parameter
+    ("f1 = 0\nsigma_1_1 = 1\n\n[vectorfield.a]\nphi1 = 1\n\n[vectorfield.b]\nphi1 = lam\n",
+     "reduce --field a --field b", "unbound parameter lam"),
+    # a verified random symmetry whose integrating variable has no closed form
+    ("f1 = 0\nsigma_1_1 = 1\n\n[vectorfield.rand]\nphi1 = 1 + (x - w)^2\n",
+     "integrate --field rand --paths 0",
+     "cannot differentiate a quadrature-defined function in a variable its integrand depends on"),
+], ids=["simulate_unbound", "reduce_unbound", "integrate_no_closed_form"])
+def test_package_errors_leave_through_main(tmp_path, capsys, model, argv, message):
+    path = tmp_path / "m.model"
+    path.write_text(SCALAR_HEADER + model)
+    command, *rest = argv.split()
+    code, out, err = run(capsys, command, "--model", str(path), *rest)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_every_package_error_is_a_value_error():
+    # main reports every ValueError as one diagnostic, so no error class of
+    # the package may derive from anything else
+    errors = []
+    for info in pkgutil.walk_packages(sdesym.__path__, "sdesym."):
+        module = importlib.import_module(info.name)
+        errors += [cls for name, cls in inspect.getmembers(module, inspect.isclass)
+                   if name.endswith("Error") and cls.__module__ == info.name]
+    assert len(errors) >= 8
+    assert [cls.__name__ for cls in errors if not issubclass(cls, ValueError)] == []
+
+
+def test_strict_check_of_an_inconclusive_field_exits_3(tmp_path, capsys):
+    # the drift's derivative is not real anywhere, so its residual cannot be sampled
+    path = tmp_path / "m.model"
+    path.write_text(SCALAR_HEADER + "f1 = sqrt(0 - 1 - x^2)\nsigma_1_1 = 1\n\n[vectorfield.v]\nphi1 = 1\n")
+    code, out, _ = run(capsys, "check", "--model", str(path), "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["fields"][0]["ito"]["verdict"] == "inconclusive"
+    code, _, err = run(capsys, "check", "--model", str(path), "--strict")
+    assert (code, err) == (EXIT_INCONCLUSIVE, "")
 
 
 def test_help_exits_zero(capsys):

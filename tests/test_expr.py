@@ -468,8 +468,9 @@ def _row_batches():
 
 
 def test_kernel_rows_equal_strict_values():
-    # __call__ computes an output no other node reads straight into its row
-    # of ``out``; every row must still equal strict's value bit for bit
+    # __call__ computes an output straight into its row of ``out``, where the
+    # nodes that read it read it; every row must still equal strict's value
+    # bit for bit
     batches = 0
     for exprs, lanes in _row_batches():
         kernel = Kernel(exprs, CTX.all_vars(), magnitudes=exprs[:2])
